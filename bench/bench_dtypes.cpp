@@ -2,8 +2,8 @@
 //
 // Prints (a) the Eq. 3/4 register blocks the solver derives for each
 // datatype/ISA instance the paper names, and (b) measured host
-// throughput of the FP32 / FP64 / FP16-storage / INT16-quantized
-// convolution paths on a ResNet layer, with correctness deltas against
+// throughput of the FP32 / FP64 / FP16-storage / INT8 convolution
+// paths on a ResNet layer, with correctness deltas against
 // their references.
 #include <cstdio>
 #include <random>
@@ -138,32 +138,6 @@ int main() {
     print_row({"FP16 storage", fmt(g, 2), "(~1e-2 rel, see tests)"}, w2);
   }
 
-  // INT16 quantized.
-  {
-    Tensor in = make_input_nchw(p.N, p.C, p.H, p.W);
-    Tensor flt = make_filter_kcrs(p.K, p.C, p.R, p.S);
-    fill_random(in, 4);
-    fill_random(flt, 5);
-    const std::int32_t qmax =
-        choose_qmax(std::int64_t{p.C} * p.R * p.S);
-    const QuantizedTensor qin = quantize_tensor(
-        in.data(), static_cast<std::size_t>(p.input_elems()), qmax);
-    const QuantizedTensor qflt = quantize_tensor(
-        flt.data(), static_cast<std::size_t>(p.filter_elems()), qmax);
-    std::vector<std::int32_t> acc(
-        static_cast<std::size_t>(p.output_elems()));
-    const double g = time_gflops(
-        [&] {
-          ndirect_conv_int16(qin.values.data(), qflt.values.data(),
-                             acc.data(), p);
-        },
-        flops, cfg.min_seconds);
-    print_row({"INT16 (qmax=" + std::to_string(qmax) + ")", fmt(g, 2),
-               "exact int32"},
-              w2);
-    report.add("layer10.int16_gflops", g);
-  }
-
   // INT8 on the same layer, for the single-layer dtype ladder.
   {
     const double g =
@@ -176,7 +150,7 @@ int main() {
     report.add("layer10.int8_gflops", g);
   }
   std::printf(
-      "\n(FP64/FP16/INT16 run clarity-first generic kernels; FP32 and "
+      "\n(FP64/FP16 run clarity-first generic kernels; FP32 and "
       "INT8 carry the unrolled policy-registry forms.)\n");
 
   // Section 14: the int8 path on the bandwidth-bound Table 4 layers

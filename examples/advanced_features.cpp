@@ -1,7 +1,7 @@
 // Tour of the extension APIs beyond the paper's core contribution:
 // store-time fusion epilogues, depthwise-separable / grouped / 3D
-// convolution (Section 10.2), and the FP64 / FP16 / INT16 datatype
-// paths (Section 3.3).
+// convolution (Section 10.2), and the FP64 / FP16 datatype paths
+// (Section 3.3).
 //
 //   $ ./examples/advanced_features
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "core/depthwise.h"
 #include "core/grouped.h"
 #include "core/ndirect.h"
-#include "core/quantized.h"
 #include "tensor/compare.h"
 #include "tensor/rng.h"
 
@@ -95,7 +94,7 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // 5. Datatypes (§3.3): FP64 exactness, FP16 footprint, INT16 speed.
+  // 5. Datatypes (§3.3): FP64 exactness, FP16 footprint.
   // ------------------------------------------------------------------
   {
     const ConvParams p{.N = 1, .C = 16, .H = 14, .W = 14, .K = 16,
@@ -124,14 +123,6 @@ int main() {
     std::printf("[fp16]      half-storage conv: out[0] = %.5f "
                 "(fp64 says %.5f), tensors at half the bytes\n",
                 fp16_to_fp32(hout[0]), dout[0]);
-
-    std::vector<float> fin(din.begin(), din.end());
-    std::vector<float> fflt(dflt.begin(), dflt.end());
-    const std::vector<float> qout =
-        quantized_conv_fp32(fin.data(), fflt.data(), p);
-    std::printf("[int16]     quantized conv:    out[0] = %.5f "
-                "(quantization error %.2e)\n",
-                qout[0], std::fabs(qout[0] - dout[0]));
   }
 
   // ------------------------------------------------------------------

@@ -13,7 +13,10 @@ or ends in "_qps" is compared higher-is-better; with --latency, leaves
 ending in _us/_ms/_ns, bare percentile leaves (p50/p95/p99), and
 wall_seconds are additionally compared lower-is-better. A change worse
 than --threshold (relative, default 0.25 — smoke-mode runs are noisy)
-is a regression and the script exits 1. Hosts or benches with no
+is a regression and the script exits 1. So is a gated baseline metric
+that the result no longer reports: a deleted or renamed metric must be
+dropped from the baseline explicitly, never skipped silently. Hosts or
+benches with no
 committed baseline are reported and skipped (exit 0): a new machine
 gates nothing until someone commits its baseline with --update.
 
@@ -82,10 +85,11 @@ def metric_direction(key, include_latency):
 
 
 def compare_files(baseline_path, current_path, threshold, include_latency):
-    """Returns (regressions, compared_count).
+    """Returns (regressions, missing, compared_count).
 
     A regression is (key, baseline, current, relative_change) with
-    relative_change > threshold in the bad direction.
+    relative_change > threshold in the bad direction. `missing` lists
+    the gated baseline keys the current result does not report.
     """
     with open(baseline_path) as f:
         base = flatten(json.load(f))
@@ -93,10 +97,16 @@ def compare_files(baseline_path, current_path, threshold, include_latency):
         cur = flatten(json.load(f))
 
     regressions = []
+    missing = []
     compared = 0
     for key, base_v in sorted(base.items()):
         direction = metric_direction(key, include_latency)
-        if direction is None or key not in cur or base_v <= 0:
+        if direction is None:
+            continue
+        if key not in cur:
+            missing.append(key)
+            continue
+        if base_v <= 0:
             continue
         cur_v = cur[key]
         compared += 1
@@ -106,7 +116,7 @@ def compare_files(baseline_path, current_path, threshold, include_latency):
             change = (cur_v - base_v) / base_v  # >0 means slower
         if change > threshold:
             regressions.append((key, base_v, cur_v, change))
-    return regressions, compared
+    return regressions, missing, compared
 
 
 def host_key_of(path):
@@ -147,7 +157,7 @@ def run_compare(args):
                   f"skipped (commit one with --update)")
             continue
 
-        regressions, compared = compare_files(
+        regressions, missing, compared = compare_files(
             baseline, current, args.threshold, args.latency)
         if regressions:
             failed = True
@@ -157,7 +167,14 @@ def run_compare(args):
                 print(f"    {key_name}: {base_v:.3f} -> {cur_v:.3f} "
                       f"({change:+.0%} worse than threshold "
                       f"{args.threshold:.0%})")
-        else:
+        if missing:
+            failed = True
+            print(f"  {current.name}: MISSING {len(missing)} gated "
+                  f"baseline metric(s) (drop them from the baseline if "
+                  f"the removal is intended)")
+            for key_name in missing:
+                print(f"    {key_name}: in baseline, not in result")
+        if not regressions and not missing:
             print(f"  {current.name}: ok ({compared} gated metrics "
                   f"within {args.threshold:.0%})")
     if failed:
@@ -195,6 +212,10 @@ def run_self_test():
     shed_doc["cases"][0]["goodput_qps"] = 50.0  # -44% goodput
     tail_doc = json.loads(json.dumps(serve_doc))
     tail_doc["cases"][0]["latency"]["p99"] = 13.0  # +62% p99
+    dropped_doc = json.loads(json.dumps(base_doc))
+    del dropped_doc["cases"][1]["stealing_gflops"]  # metric deleted
+    no_latency_doc = json.loads(json.dumps(serve_doc))
+    del no_latency_doc["cases"][0]["latency"]  # only latency leaves gone
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -238,6 +259,11 @@ def run_self_test():
                       latency=True) == 1),
             ("+62% bare-p99 is ignored without --latency",
              run_with(tail_doc, 0.50,
+                      name="BENCH_serveself.json") == 0),
+            ("a dropped gated metric fails the gate",
+             run_with(dropped_doc, 0.25) == 1),
+            ("a dropped latency metric is ignored without --latency",
+             run_with(no_latency_doc, 0.25,
                       name="BENCH_serveself.json") == 0),
         ]
     ok = all(passed for _, passed in checks)

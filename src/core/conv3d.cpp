@@ -1,8 +1,8 @@
 #include "core/conv3d.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace ndirect {
 namespace {
@@ -46,12 +46,19 @@ void gather_filter_slice(const Tensor& filter, const Conv3dParams& p,
 
 Tensor conv3d_ndirect(const Tensor& input, const Tensor& filter,
                       const Conv3dParams& p, ThreadPool* pool) {
-  assert(p.valid());
-  assert(input.rank() == 5 && input.dim(0) == p.N && input.dim(1) == p.C &&
-         input.dim(2) == p.D && input.dim(3) == p.H && input.dim(4) == p.W);
-  assert(filter.rank() == 5 && filter.dim(0) == p.K &&
-         filter.dim(1) == p.C && filter.dim(2) == p.T &&
-         filter.dim(3) == p.R && filter.dim(4) == p.S);
+  if (!p.valid()) {
+    throw std::invalid_argument("conv3d: invalid parameters");
+  }
+  if (input.rank() != 5 || input.dim(0) != p.N || input.dim(1) != p.C ||
+      input.dim(2) != p.D || input.dim(3) != p.H || input.dim(4) != p.W) {
+    throw std::invalid_argument("conv3d: input must be [N,C,D,H,W], got " +
+                                input.shape_string());
+  }
+  if (filter.rank() != 5 || filter.dim(0) != p.K || filter.dim(1) != p.C ||
+      filter.dim(2) != p.T || filter.dim(3) != p.R || filter.dim(4) != p.S) {
+    throw std::invalid_argument("conv3d: filter must be [K,C,T,R,S], got " +
+                                filter.shape_string());
+  }
 
   const int Dout = p.Dout(), P = p.P(), Q = p.Q();
   Tensor out({p.N, p.K, Dout, P, Q}, Layout::Linear);

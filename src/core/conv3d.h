@@ -35,7 +35,8 @@ struct Conv3dParams {
 };
 
 /// input [N,C,D,H,W] (rank-5, Layout::Linear), filter [K,C,T,R,S]
-/// -> output [N,K,Dout,P,Q].
+/// -> output [N,K,Dout,P,Q]. Throws std::invalid_argument on invalid
+/// params or mismatched tensor shapes.
 Tensor conv3d_ndirect(const Tensor& input, const Tensor& filter,
                       const Conv3dParams& p, ThreadPool* pool = nullptr);
 

@@ -1,9 +1,10 @@
 #include "core/conv_fp16.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 
+#include "core/exec.h"
 #include "core/microkernel.h"
 #include "runtime/aligned_buffer.h"
 
@@ -31,8 +32,10 @@ void pack_row_fp16(float* dst, const fp16_t* image, int c, int ih, int iw0,
 void ndirect_conv_fp16(const fp16_t* input, const fp16_t* filter,
                        fp16_t* output, const ConvParams& p,
                        ThreadPool* pool) {
-  assert(p.valid());
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  if (!p.valid()) {
+    throw std::invalid_argument("ndirect_conv_fp16: invalid convolution " +
+                                p.to_string());
+  }
   const RegisterBlock rb = solve_register_block(p.S);
   const int vw = rb.vw, vk = rb.vk;
   const int packw = (vw - 1) * p.str + p.S;
@@ -60,68 +63,70 @@ void ndirect_conv_fp16(const fp16_t* input, const fp16_t* filter,
     }
   }
 
-  const std::int64_t total_rows = std::int64_t{p.N} * P;
-  tp.parallel_for(
-      static_cast<std::size_t>(total_rows),
-      [&](std::size_t row_begin, std::size_t row_end) {
-        // Full-C pack buffer: the whole reduction runs in one kernel
-        // call so fp32 accumulation completes before any fp16 store.
-        AlignedBuffer<float> pack(static_cast<std::size_t>(p.C) * p.R *
-                                  packw);
-        AlignedBuffer<float> staging(static_cast<std::size_t>(vw) * vk);
-        for (std::size_t row = row_begin; row < row_end; ++row) {
-          const std::int64_t n = static_cast<std::int64_t>(row) / P;
-          const int oh = static_cast<int>(row % P);
-          const fp16_t* image =
-              input + n * std::int64_t{p.C} * p.H * p.W;
-          fp16_t* out_image = output + n * std::int64_t{p.K} * P * Q;
+  // One tile per output row. Full-C pack buffer: the whole reduction
+  // runs in one kernel call so fp32 accumulation completes before any
+  // fp16 store.
+  ThreadPool& tp = exec_pool(pool);
+  ExecOptions eo;
+  eo.pool = &tp;
+  eo.scratch[static_cast<int>(ScratchSlot::kPack)] =
+      static_cast<std::size_t>(p.C) * p.R * packw;
+  eo.scratch[static_cast<int>(ScratchSlot::kAux0)] =
+      static_cast<std::size_t>(vw) * vk;
+  run_tiles(row_grid(std::int64_t{p.N} * P, static_cast<int>(tp.size())),
+            eo, [&](auto& w, int row, int) {
+    float* pack = w.scratch(ScratchSlot::kPack);
+    float* staging = w.scratch(ScratchSlot::kAux0);
+    const std::int64_t n = row / P;
+    const int oh = row % P;
+    const fp16_t* image = input + n * std::int64_t{p.C} * p.H * p.W;
+    fp16_t* out_image = output + n * std::int64_t{p.K} * P * Q;
 
-          for (int wv = 0; wv < Q; wv += vw) {
-            const int wn = std::min(vw, Q - wv);
-            for (int c = 0; c < p.C; ++c) {
-              for (int r = 0; r < p.R; ++r) {
-                pack_row_fp16(
-                    pack.data() +
-                        (static_cast<std::int64_t>(c) * p.R + r) * packw,
-                    image, c, oh * p.str + r - p.pad, wv * p.str - p.pad,
-                    p, packw);
-              }
-            }
-            for (std::int64_t kb = 0; kb < kb_count; ++kb) {
-              const std::int64_t kv = kb * vk;
-              const int kn =
-                  static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
-              MicroArgs a;
-              a.pack = pack.data();
-              a.pack_c_stride = std::int64_t{p.R} * packw;
-              a.pack_r_stride = packw;
-              a.ftile = packed_filter.data() + kb * p.C * f_c_stride;
-              a.f_c_stride = f_c_stride;
-              a.tc = p.C;
-              a.R = p.R;
-              a.S = p.S;
-              a.str = p.str;
-              a.packw = packw;
-              a.out = staging.data();
-              a.out_k_stride = vw;
-              a.out_w_stride = 1;
-              a.wn = wn;
-              a.kn = kn;
-              a.accumulate = false;
-              compute_kernel_generic(a, vw, vk);
-              // Narrow the finished fp32 tile into the fp16 output.
-              for (int k = 0; k < kn; ++k) {
-                fp16_t* orow =
-                    out_image + ((kv + k) * P + oh) * Q + wv;
-                const float* srow = staging.data() + k * vw;
-                for (int w = 0; w < wn; ++w) {
-                  orow[w] = fp32_to_fp16(srow[w]);
-                }
-              }
-            }
+    for (int wv = 0; wv < Q; wv += vw) {
+      const int wn = std::min(vw, Q - wv);
+      w.timed_pack([&] {
+        for (int c = 0; c < p.C; ++c) {
+          for (int r = 0; r < p.R; ++r) {
+            pack_row_fp16(
+                pack + (static_cast<std::int64_t>(c) * p.R + r) * packw,
+                image, c, oh * p.str + r - p.pad, wv * p.str - p.pad, p,
+                packw);
           }
         }
       });
+      w.timed(Counter::kMicrokernelNs, [&] {
+        for (std::int64_t kb = 0; kb < kb_count; ++kb) {
+          const std::int64_t kv = kb * vk;
+          const int kn =
+              static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
+          MicroArgs a;
+          a.pack = pack;
+          a.pack_c_stride = std::int64_t{p.R} * packw;
+          a.pack_r_stride = packw;
+          a.ftile = packed_filter.data() + kb * p.C * f_c_stride;
+          a.f_c_stride = f_c_stride;
+          a.tc = p.C;
+          a.R = p.R;
+          a.S = p.S;
+          a.str = p.str;
+          a.packw = packw;
+          a.out = staging;
+          a.out_k_stride = vw;
+          a.out_w_stride = 1;
+          a.wn = wn;
+          a.kn = kn;
+          a.accumulate = false;
+          compute_kernel_generic(a, vw, vk);
+          // Narrow the finished fp32 tile into the fp16 output.
+          for (int k = 0; k < kn; ++k) {
+            fp16_t* orow = out_image + ((kv + k) * P + oh) * Q + wv;
+            const float* srow = staging + k * vw;
+            for (int x = 0; x < wn; ++x) orow[x] = fp32_to_fp16(srow[x]);
+          }
+        }
+      });
+    }
+  });
 }
 
 void naive_conv_fp16(const fp16_t* input, const fp16_t* filter,

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
-#include "runtime/aligned_buffer.h"
+#include "core/exec.h"
 #include "simd/vec128.h"
 
 namespace ndirect {
@@ -124,8 +125,10 @@ void transform_filter_tile_f64(const double* filter, const ConvParams& p,
 void ndirect_conv_fp64(const double* input, const double* filter,
                        double* output, const ConvParams& p,
                        ThreadPool* pool) {
-  assert(p.valid());
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  if (!p.valid()) {
+    throw std::invalid_argument("ndirect_conv_fp64: invalid convolution " +
+                                p.to_string());
+  }
   const Fp64Plan plan = solve_fp64_plan(p, probe_host_cpu().cache);
   const int vw = plan.rb.vw, vk = plan.rb.vk;
   const int tc = plan.tiling.tc;
@@ -134,63 +137,65 @@ void ndirect_conv_fp64(const double* input, const double* filter,
   const int packw = (vw - 1) * p.str + p.S;
   const int P = p.P(), Q = p.Q();
   const std::int64_t f_c_stride = std::int64_t{p.R} * p.S * vk;
-  const std::int64_t total_rows = std::int64_t{p.N} * P;
 
-  tp.parallel_for(
-      static_cast<std::size_t>(total_rows),
-      [&](std::size_t row_begin, std::size_t row_end) {
-        AlignedBuffer<double> pack(static_cast<std::size_t>(tc) * p.R *
-                                   packw);
-        AlignedBuffer<double> ftile(static_cast<std::size_t>(tk_blocks) *
-                                    vk * tc * p.R * p.S);
-        for (std::size_t row = row_begin; row < row_end; ++row) {
-          const std::int64_t n = static_cast<std::int64_t>(row) / P;
-          const int oh = static_cast<int>(row % P);
-          const double* image =
-              input + n * std::int64_t{p.C} * p.H * p.W;
-          double* out_image =
-              output + n * std::int64_t{p.K} * P * Q;
+  // Tiles are (output row, Tk chunk of K blocks) pairs; each carries the
+  // full C reduction. Buffers hold doubles, two floats of scratch each.
+  ThreadPool& tp = exec_pool(pool);
+  TileGrid grid =
+      row_grid(std::int64_t{p.N} * P, static_cast<int>(tp.size()));
+  grid.cols = static_cast<int>((k_blocks + tk_blocks - 1) / tk_blocks);
+  ExecOptions eo;
+  eo.pool = &tp;
+  eo.scratch[static_cast<int>(ScratchSlot::kPack)] =
+      2 * static_cast<std::size_t>(tc) * p.R * packw;
+  eo.scratch[static_cast<int>(ScratchSlot::kFilterTile)] =
+      2 * static_cast<std::size_t>(tk_blocks) * vk * tc * p.R * p.S;
+  run_tiles(grid, eo, [&](auto& w, int row, int kchunk) {
+    auto* pack = reinterpret_cast<double*>(w.scratch(ScratchSlot::kPack));
+    auto* ftile =
+        reinterpret_cast<double*>(w.scratch(ScratchSlot::kFilterTile));
+    const std::int64_t n = row / P;
+    const int oh = row % P;
+    const double* image = input + n * std::int64_t{p.C} * p.H * p.W;
+    double* out_image = output + n * std::int64_t{p.K} * P * Q;
+    const std::int64_t kb0 = std::int64_t{kchunk} * tk_blocks;
+    const std::int64_t kbn = std::min(tk_blocks, k_blocks - kb0);
 
-          for (int ct = 0; ct < p.C; ct += tc) {
-            const int tcn = std::min(tc, p.C - ct);
-            const bool first_c = ct == 0;
-            for (std::int64_t kb0 = 0; kb0 < k_blocks; kb0 += tk_blocks) {
-              const std::int64_t kbn =
-                  std::min<std::int64_t>(tk_blocks, k_blocks - kb0);
-              transform_filter_tile_f64(filter, p,
-                                        static_cast<int>(kb0) * vk,
-                                        static_cast<int>(kbn) * vk, ct,
-                                        tcn, vk, ftile.data());
-              for (int wv = 0; wv < Q; wv += vw) {
-                const int wn = std::min(vw, Q - wv);
-                // Packing micro-kernel (first kv iteration's operand).
-                for (int c = 0; c < tcn; ++c) {
-                  for (int r = 0; r < p.R; ++r) {
-                    pack_row_f64(
-                        pack.data() +
-                            (static_cast<std::int64_t>(c) * p.R + r) *
-                                packw,
-                        image + static_cast<std::int64_t>(ct) * p.H * p.W,
-                        c, oh * p.str + r - p.pad, wv * p.str - p.pad, p,
-                        packw);
-                  }
-                }
-                for (std::int64_t b = 0; b < kbn; ++b) {
-                  const std::int64_t kv = (kb0 + b) * vk;
-                  const int kn = static_cast<int>(
-                      std::min<std::int64_t>(vk, p.K - kv));
-                  compute_tile_f64(
-                      pack.data(),
-                      ftile.data() + b * tcn * f_c_stride, f_c_stride,
-                      tcn, p, packw, vw, vk,
-                      out_image + (kv * P + oh) * Q + wv,
-                      std::int64_t{P} * Q, wn, kn, !first_c);
-                }
-              }
+    for (int ct = 0; ct < p.C; ct += tc) {
+      const int tcn = std::min(tc, p.C - ct);
+      const bool first_c = ct == 0;
+      w.timed(Counter::kTransformNs, [&] {
+        transform_filter_tile_f64(filter, p, static_cast<int>(kb0) * vk,
+                                  static_cast<int>(kbn) * vk, ct, tcn, vk,
+                                  ftile);
+      });
+      for (int wv = 0; wv < Q; wv += vw) {
+        const int wn = std::min(vw, Q - wv);
+        // Packing micro-kernel (first kv iteration's operand).
+        w.timed_pack([&] {
+          for (int c = 0; c < tcn; ++c) {
+            for (int r = 0; r < p.R; ++r) {
+              pack_row_f64(
+                  pack + (static_cast<std::int64_t>(c) * p.R + r) * packw,
+                  image + static_cast<std::int64_t>(ct) * p.H * p.W, c,
+                  oh * p.str + r - p.pad, wv * p.str - p.pad, p, packw);
             }
           }
-        }
-      });
+        });
+        w.timed(Counter::kMicrokernelNs, [&] {
+          for (std::int64_t b = 0; b < kbn; ++b) {
+            const std::int64_t kv = (kb0 + b) * vk;
+            const int kn =
+                static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
+            compute_tile_f64(pack, ftile + b * tcn * f_c_stride,
+                             f_c_stride, tcn, p, packw, vw, vk,
+                             out_image + (kv * P + oh) * Q + wv,
+                             std::int64_t{P} * Q, wn, kn, !first_c);
+          }
+        });
+      }
+    }
+  });
 }
 
 void naive_conv_fp64(const double* input, const double* filter,

@@ -1,7 +1,8 @@
 #include "core/depthwise.h"
 
-#include <cassert>
+#include <stdexcept>
 
+#include "core/exec.h"
 #include "simd/vec128.h"
 
 namespace ndirect {
@@ -80,42 +81,49 @@ void depthwise_row(const float* chan, const float* frow_base,
 
 Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
                            const DepthwiseParams& p, ThreadPool* pool) {
-  assert(p.valid());
-  assert(input.layout() == Layout::NCHW);
-  assert(filter.layout() == Layout::KCRS && filter.dim(0) == p.C &&
-         filter.dim(1) == 1);
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  if (!p.valid()) {
+    throw std::invalid_argument("depthwise_conv: invalid parameters");
+  }
+  if (input.layout() != Layout::NCHW || input.rank() != 4 ||
+      input.dim(0) != p.N || input.dim(1) != p.C || input.dim(2) != p.H ||
+      input.dim(3) != p.W) {
+    throw std::invalid_argument("depthwise_conv: input must be NCHW "
+                                "[N,C,H,W], got " +
+                                input.shape_string());
+  }
+  if (filter.layout() != Layout::KCRS || filter.rank() != 4 ||
+      filter.dim(0) != p.C || filter.dim(1) != 1 || filter.dim(2) != p.R ||
+      filter.dim(3) != p.S) {
+    throw std::invalid_argument("depthwise_conv: filter must be [C,1,R,S], "
+                                "got " +
+                                filter.shape_string());
+  }
 
   const int P = p.P(), Q = p.Q();
   Tensor out = make_output_nchw(p.N, p.C, P, Q);
   const std::int64_t hw_in = std::int64_t{p.H} * p.W;
   const std::int64_t hw_out = std::int64_t{P} * Q;
 
-  // Channels are independent: parallelize (n, c) with no reduction
-  // hazards (the depthwise analogue of never splitting C in Section 6
-  // does not arise — C is not a reduction dimension here). Dynamic
-  // claiming because channel cost is uniform but core availability is
-  // not; the grain keeps ~8 claims per worker so stealing can rebalance
-  // without per-channel claim traffic.
-  const std::int64_t work = std::int64_t{p.N} * p.C;
-  const std::size_t grain = std::max<std::size_t>(
-      1, static_cast<std::size_t>(work) / (8 * tp.size()));
-  tp.parallel_for_dynamic(
-      static_cast<std::size_t>(work), grain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t item = begin; item < end; ++item) {
-          const std::int64_t c = static_cast<std::int64_t>(item) % p.C;
-          const std::int64_t n = static_cast<std::int64_t>(item) / p.C;
-          const float* chan = input.data() + (n * p.C + c) * hw_in;
-          const float* frow =
-              filter.data() + c * static_cast<std::int64_t>(p.R) * p.S;
-          float* out_chan = out.data() + (n * p.C + c) * hw_out;
-          for (int oj = 0; oj < P; ++oj) {
-            depthwise_row(chan, frow, out_chan + std::int64_t{oj} * Q, p,
-                          oj);
-          }
-        }
-      });
+  // One tile per (n, c) plane: channels are independent, so a tile is a
+  // whole output plane with no reduction hazard (C is not a reduction
+  // dimension here).
+  ThreadPool& tp = exec_pool(pool);
+  ExecOptions eo;
+  eo.pool = &tp;
+  run_tiles(row_grid(std::int64_t{p.N} * p.C, static_cast<int>(tp.size())),
+            eo, [&](auto& w, int item, int) {
+              const std::int64_t c = item % p.C;
+              const std::int64_t n = item / p.C;
+              const float* chan = input.data() + (n * p.C + c) * hw_in;
+              const float* frow =
+                  filter.data() + c * static_cast<std::int64_t>(p.R) * p.S;
+              float* out_chan = out.data() + (n * p.C + c) * hw_out;
+              w.timed(Counter::kMicrokernelNs, [&] {
+                for (int oj = 0; oj < P; ++oj)
+                  depthwise_row(chan, frow, out_chan + std::int64_t{oj} * Q,
+                                p, oj);
+              });
+            });
   return out;
 }
 
@@ -147,11 +155,17 @@ Tensor separable_conv_nchw(const Tensor& input, const Tensor& dw_filter,
                            const Tensor& pw_filter,
                            const DepthwiseParams& dw, int K,
                            ThreadPool* pool) {
+  if (K < 1 || pw_filter.layout() != Layout::KCRS || pw_filter.rank() != 4 ||
+      pw_filter.dim(0) != K || pw_filter.dim(1) != dw.C ||
+      pw_filter.dim(2) != 1 || pw_filter.dim(3) != 1) {
+    throw std::invalid_argument("separable_conv: pointwise filter must be "
+                                "[K,C,1,1], got " +
+                                pw_filter.shape_string());
+  }
   const Tensor mid = depthwise_conv_nchw(input, dw_filter, dw, pool);
   // Pointwise = 1x1 nDirect convolution on the depthwise output.
   const ConvParams pw{.N = dw.N, .C = dw.C, .H = dw.P(), .W = dw.Q(),
                       .K = K, .R = 1, .S = 1, .str = 1, .pad = 0};
-  assert(pw_filter.dim(0) == K && pw_filter.dim(1) == dw.C);
   NdirectOptions opts;
   opts.pool = pool;
   return ndirect_conv(mid, pw_filter, pw, opts);

@@ -36,7 +36,8 @@ struct DepthwiseParams {
 };
 
 /// input NCHW [N,C,H,W], filter [C,1,R,S] (KCRS with K=C, C=1)
-/// -> output NCHW [N,C,P,Q].
+/// -> output NCHW [N,C,P,Q]. Throws std::invalid_argument on invalid
+/// params or mismatched tensor shapes.
 Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
                            const DepthwiseParams& p,
                            ThreadPool* pool = nullptr);
@@ -47,7 +48,7 @@ Tensor depthwise_conv_reference(const Tensor& input, const Tensor& filter,
 
 /// Depthwise-separable block: depthwise (dw_filter [C,1,R,S]) followed
 /// by pointwise (pw_filter [K,C,1,1], executed by NdirectConv).
-/// Returns [N,K,P,Q].
+/// Returns [N,K,P,Q]. Throws std::invalid_argument on mismatched shapes.
 Tensor separable_conv_nchw(const Tensor& input, const Tensor& dw_filter,
                            const Tensor& pw_filter,
                            const DepthwiseParams& dw, int K,

@@ -9,14 +9,10 @@
 #include <vector>
 
 #include "core/alpha.h"
+#include "core/exec.h"
 #include "core/filter_transform.h"
 #include "core/microkernel.h"
 #include "core/ndirect.h"
-#include "runtime/aligned_buffer.h"
-#include "runtime/perf_counters.h"
-#include "runtime/scratch.h"
-#include "runtime/trace.h"
-#include "tensor/transforms.h"
 
 namespace ndirect {
 
@@ -219,8 +215,6 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
       std::max<std::int64_t>(1, k_blocks_total / plan.mapping.ptk));
   const std::int64_t k_chunks =
       (k_blocks_total + tk_chunk - 1) / tk_chunk;
-  const bool stealing = opts.schedule == SchedulePolicy::kStealing;
-  const int num_workers = plan.mapping.total() + plan.stealers;
 
   // Stride compaction (see the planner): with S == 1 the packed buffer
   // is gathered at column step `str`, and the kernels index it densely.
@@ -249,398 +243,219 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
     if (q_tail > 0) tail_k = resolve_kernel(vw_tail, vk, p.S, kstr);
   }
 
-  ThreadPool& pool =
-      opts.pool != nullptr ? *opts.pool : ThreadPool::global();
-  // Per-worker phase attribution: each worker accumulates its phase
-  // nanoseconds in locals and flushes them into its own telemetry slot
-  // when it runs out of tiles, so the transform/pack/micro-kernel
-  // breakdown is valid at any worker count (the previous PhaseTimer
-  // path recorded nothing beyond one worker). Collection stays off
-  // unless someone will consume it; the worker is templated on the
-  // collect flag so the disabled instantiation carries no timer reads
-  // or branches in the tile loop at all.
-  const bool tracing = trace_on();
-  const bool collect =
-      telemetry_enabled() && (opts.telemetry != nullptr ||
-                              opts.phase_timer != nullptr || tracing);
-  WorkerTelemetry tel(collect ? num_workers : 0);
-  // Hardware-counter mode for this run: 0 off, 1 per-task group deltas,
-  // 2 additionally attributes L1D misses to the pack phase. Rides the
-  // collect flag (PMU data is only gathered when a sink will see it)
-  // and degrades to 0 on hosts where perf_event_open is unavailable.
-  const int pmu =
-      collect && pmu_mode() > 0 && pmu_available() ? pmu_mode() : 0;
+  // Working buffers: the pack window (+4 floats of slack: the unrolled
+  // kernel reads the final row in whole vectors, the extra lanes are
+  // loaded but never consumed) and, unless the filter arrives packed,
+  // the on-the-fly filter tile.
+  ExecOptions ex;
+  ex.pool = opts.pool;
+  ex.stealing = opts.schedule == SchedulePolicy::kStealing;
+  ex.persistent_scratch = opts.persistent_scratch;
+  ex.scratch[static_cast<int>(ScratchSlot::kPack)] =
+      static_cast<std::size_t>(tc) * p.R * plan.packw + 4;
+  if (aot_packed == nullptr)
+    ex.scratch[static_cast<int>(ScratchSlot::kFilterTile)] =
+        static_cast<std::size_t>(tk_blocks) * vk * tc * p.R * p.S;
+  ex.telemetry = opts.telemetry;
+  ex.phase_timer = opts.phase_timer;
+  ex.sched_stats = opts.sched_stats;
 
   // Every worker starts on exactly the tiles its Eq. 5/6 slice covers
   // (the paper's mapping, rounded to tile granularity); workers beyond
   // the grid (plan.stealers) seed empty and only steal.
-  TileScheduler sched(static_cast<int>(row_chunks),
-                      static_cast<int>(k_chunks), plan.mapping.ptn,
-                      plan.mapping.ptk, num_workers, stealing);
+  const TileGrid grid{static_cast<int>(row_chunks),
+                      static_cast<int>(k_chunks), plan.mapping,
+                      plan.stealers};
 
-  auto worker = [&]<bool kCollect>(std::size_t tid) {
-    // Phase-time accumulators, flushed to this worker's telemetry slot
-    // once at task end (no shared writes inside the tile loop).
-    std::uint64_t pack_ns = 0, transform_ns = 0, micro_ns = 0;
-    // Micro-kernel invocations that fell through to the generic
-    // runtime-loop kernel (un-specialized block).
-    std::uint64_t generic_calls = 0;
-    // PMU: one group read at task start/end gives this worker's
-    // hardware-counter deltas (the task runs on exactly one OS thread,
-    // whose thread-local group scopes the counts to it). pack_l1d is
-    // the phase-mode split accumulated from reads around pack_window.
-    std::uint64_t pack_l1d = 0;
-    PmuSample pmu_t0;
-    PmuThreadCounters* pc = nullptr;
-    if constexpr (kCollect) {
-      if (pmu > 0) {
-        PmuThreadCounters& counters = this_thread_pmu();
-        if (counters.open()) {
-          pc = &counters;
-          pmu_t0 = counters.read();
+  run_tiles(grid, ex, [&](auto& w, int rchunk, int kchunk) {
+    float* pack = w.scratch(ScratchSlot::kPack);
+    float* ftile = w.scratch(ScratchSlot::kFilterTile);
+    const std::int64_t n = rchunk / chunks_per_image;
+    const int oh_begin =
+        static_cast<int>((rchunk % chunks_per_image) * th_rows);
+    const int oh_end =
+        static_cast<int>(std::min<std::int64_t>(oh_begin + th_rows, P));
+    // The tile's K extent is one Tk chunk — what loop L4 stepped over per
+    // slice in the static nest.
+    const std::int64_t kb0 = static_cast<std::int64_t>(kchunk) * tk_chunk;
+    const std::int64_t kbn =
+        std::min<std::int64_t>(tk_chunk, k_blocks_total - kb0);
+
+    const float* image = input + n * ls.in_image;
+    float* out_image = output + n * ls.out_image;
+
+    for (int ht = oh_begin; ht < oh_end; ht += th) {         // loop L2
+      const int hv_end = std::min(ht + th, oh_end);
+      for (int ct = 0; ct < p.C; ct += tc) {                 // loop L3
+        const int tcn = std::min(tc, p.C - ct);
+        const bool first_c = ct == 0;
+        // The epilogue fires with the final C tile's stores, when the
+        // output element receives its last contribution.
+        const bool last_c = ct + tcn >= p.C;
+        const float* ftile_base;
+        std::int64_t f_kb_stride;
+        if (aot_packed != nullptr) {
+          ftile_base = aot_packed + (kb0 * p.C + ct) * f_c_stride;
+          f_kb_stride = std::int64_t{p.C} * f_c_stride;
+        } else {
+          w.timed(Counter::kTransformNs, [&] {
+            transform_filter_tile(filter, p.K, p.C, p.R, p.S,
+                                  static_cast<int>(kb0) * vk,
+                                  static_cast<int>(kbn) * vk, ct, tcn, vk,
+                                  ftile);
+          });
+          ftile_base = ftile;
+          f_kb_stride = std::int64_t{tcn} * f_c_stride;
         }
-      }
-    }
-    // +4 floats of slack: the unrolled kernel reads the final row in
-    // whole vectors (the extra lanes are loaded but never consumed).
-    const std::size_t pack_floats =
-        static_cast<std::size_t>(tc) * p.R * plan.packw + 4;
-    const std::size_t ftile_floats =
-        aot_packed == nullptr
-            ? static_cast<std::size_t>(tk_blocks) * vk * tc * p.R * p.S
-            : 0;
-    // Working buffers, acquired before claiming so every worker warms
-    // its arena on the first call even if stealing hands it a different
-    // tile set next run (steady-state growth stays zero and
-    // deterministic): from this OS thread's persistent arena (steady
-    // state: no heap allocation), or call-local heap buffers when the
-    // arena is disabled (seed behaviour, kept for overhead A/B benches).
-    AlignedBuffer<float> local_pack, local_ftile;
-    float* pack;
-    float* ftile = nullptr;
-    // The arena namespace is this task's nesting level: if this OS
-    // thread is already inside another convolution (a task that itself
-    // dispatched on the pool, which the re-entrant run() allows), the
-    // outer invocation's buffers live in a lower namespace and cannot
-    // be clobbered here.
-    const ScratchDepth depth;
-    if (opts.persistent_scratch) {
-      ScratchArena& arena = this_thread_scratch();
-      pack = arena.floats(depth.level(), ScratchSlot::kPack, pack_floats);
-      if (ftile_floats > 0)
-        ftile = arena.floats(depth.level(), ScratchSlot::kFilterTile,
-                             ftile_floats);
-    } else {
-      local_pack.reset(pack_floats);
-      pack = local_pack.data();
-      if (ftile_floats > 0) {
-        local_ftile.reset(ftile_floats);
-        ftile = local_ftile.data();
-      }
-    }
 
-    int rchunk, kchunk;
-    while (sched.claim(static_cast<int>(tid), &rchunk, &kchunk)) {
-      // Tile spans ride the collect instantiation: tracing implies
-      // collect whenever the runtime master switch is on, so the
-      // disabled worker stays free of TraceSession code entirely.
-      std::uint64_t tile_t0 = 0;
-      if constexpr (kCollect)
-        tile_t0 = tracing ? TraceSession::global().now_ns() : 0;
-      const std::int64_t n = rchunk / chunks_per_image;
-      const int oh_begin =
-          static_cast<int>((rchunk % chunks_per_image) * th_rows);
-      const int oh_end =
-          static_cast<int>(std::min<std::int64_t>(oh_begin + th_rows, P));
-      // The tile's K extent is one Tk chunk — what loop L4 stepped over
-      // per slice in the static nest.
-      const std::int64_t kb0 =
-          static_cast<std::int64_t>(kchunk) * tk_chunk;
-      const std::int64_t kbn =
-          std::min<std::int64_t>(tk_chunk, k_blocks_total - kb0);
+        for (int hv = ht; hv < hv_end; ++hv) {               // loop L5
+          for (int wv = 0; wv < Q; wv += vw) {               // loop L6
+            const int wn = std::min(vw, Q - wv);
+            PackGeometry g;
+            g.src = image + ct * ls.in_chan;
+            g.chan_stride = ls.in_chan;
+            g.row_stride = ls.in_row;
+            g.col_stride = ls.in_col;
+            g.H = p.H;
+            g.W = p.W;
+            g.ih0 = hv * p.str - p.pad;
+            g.iw0 = wv * p.str - p.pad;
+            g.iw_step = stride_compact ? p.str : 1;
 
-      const float* image = input + n * ls.in_image;
-      float* out_image = output + n * ls.out_image;
+            // Direct-read mode: a 1x1 stride-1 window that lies fully
+            // inside the (unpadded) input is already the contiguous row
+            // the kernel wants — skip packing and point the kernel at
+            // the tensor itself. (Safe to read in whole vectors: tensors
+            // carry a cache line of tail slack; taps only touch the
+            // first (wn-1)*str + S columns.)
+            const bool direct_row =
+                p.S == 1 && p.str == 1 && ls.in_col == 1 && g.ih0 >= 0 &&
+                g.ih0 + p.R <= p.H && g.iw0 >= 0 &&
+                g.iw0 + (wn - 1) * p.str + p.S <= p.W;
 
-      for (int ht = oh_begin; ht < oh_end; ht += th) {       // loop L2
-        const int hv_end = std::min(ht + th, oh_end);
-        for (int ct = 0; ct < p.C; ct += tc) {               // loop L3
-          const int tcn = std::min(tc, p.C - ct);
-          const bool first_c = ct == 0;
-          // The epilogue fires with the final C tile's stores, when the
-          // output element receives its last contribution.
-          const bool last_c = ct + tcn >= p.C;
-          {
-            const float* ftile_base;
-            std::int64_t f_kb_stride;
-            if (aot_packed != nullptr) {
-              ftile_base = aot_packed + (kb0 * p.C + ct) * f_c_stride;
-              f_kb_stride = std::int64_t{p.C} * f_c_stride;
+            MicroArgs a;
+            if (direct_row) {
+              a.pack = const_cast<float*>(
+                  g.src + static_cast<std::int64_t>(g.ih0) * ls.in_row +
+                  g.iw0);
+              a.pack_c_stride = ls.in_chan;
+              a.pack_r_stride = ls.in_row;
             } else {
-              std::uint64_t t0 = 0;
-              if constexpr (kCollect) t0 = monotonic_ns();
-              transform_filter_tile(filter, p.K, p.C, p.R, p.S,
-                                    static_cast<int>(kb0) * vk,
-                                    static_cast<int>(kbn) * vk, ct, tcn, vk,
-                                    ftile);
-              if constexpr (kCollect) transform_ns += monotonic_ns() - t0;
-              ftile_base = ftile;
-              f_kb_stride = std::int64_t{tcn} * f_c_stride;
+              a.pack = pack;
+              a.pack_c_stride = std::int64_t{p.R} * plan.packw;
+              a.pack_r_stride = plan.packw;
             }
+            a.f_c_stride = f_c_stride;
+            a.tc = tcn;
+            a.R = p.R;
+            a.S = p.S;
+            a.str = kstr;
+            a.packw = plan.packw;
+            a.out_k_stride = ls.out_k;
+            a.out_w_stride = ls.out_w;
+            a.wn = wn;
+            a.accumulate = !first_c;
+            a.relu = last_c && epi.relu;
 
-            for (int hv = ht; hv < hv_end; ++hv) {           // loop L5
-              for (int wv = 0; wv < Q; wv += vw) {           // loop L6
-                const int wn = std::min(vw, Q - wv);
-                PackGeometry g;
-                g.src = image + ct * ls.in_chan;
-                g.chan_stride = ls.in_chan;
-                g.row_stride = ls.in_row;
-                g.col_stride = ls.in_col;
-                g.H = p.H;
-                g.W = p.W;
-                g.ih0 = hv * p.str - p.pad;
-                g.iw0 = wv * p.str - p.pad;
-                g.iw_step = stride_compact ? p.str : 1;
+            // Dispatch against the per-conv resolution: interior when
+            // the tile fills its resolved block (the W tail uses the
+            // narrower vw_tail block, so its full tiles are interior
+            // too), masked-edge otherwise. Both slots are non-null for
+            // any registered block; the generic fallback only fires for
+            // blocks outside the registry.
+            const bool full_w = wn == vw;
+            const KernelResolution& kres = full_w ? main_k : tail_k;
+            const int rvw = full_w ? vw : vw_tail;
 
-                // Direct-read mode: a 1x1 stride-1 window that lies
-                // fully inside the (unpadded) input is already the
-                // contiguous row the kernel wants — skip packing and
-                // point the kernel at the tensor itself.
-                // (Safe to read in whole vectors: tensors carry a cache
-                // line of tail slack; taps only touch the first
-                // (wn-1)*str + S columns.)
-                const bool direct_row =
-                    p.S == 1 && p.str == 1 && ls.in_col == 1 &&
-                    g.ih0 >= 0 && g.ih0 + p.R <= p.H && g.iw0 >= 0 &&
-                    g.iw0 + (wn - 1) * p.str + p.S <= p.W;
+            const auto call_compute = [&] {
+              const ComputeKernelFn fn =
+                  a.wn == rvw && a.kn == vk ? kres.interior : kres.edge;
+              if (fn != nullptr) {
+                fn(a);
+              } else {
+                w.count_generic();
+                compute_kernel_generic(a, full_w ? vw : wn, vk);
+              }
+            };
+            const auto call_fused = [&] {
+              const FusedKernelFn fn = a.wn == rvw && a.kn == vk
+                                           ? kres.interior_fused
+                                           : kres.edge_fused;
+              if (fn != nullptr) {
+                fn(a, g);
+              } else {
+                w.count_generic();
+                fused_kernel_generic(a, g, full_w ? vw : wn, vk);
+              }
+            };
 
-                MicroArgs a;
-                if (direct_row) {
-                  a.pack = const_cast<float*>(
-                      g.src + static_cast<std::int64_t>(g.ih0) * ls.in_row +
-                      g.iw0);
-                  a.pack_c_stride = ls.in_chan;
-                  a.pack_r_stride = ls.in_row;
-                } else {
-                  a.pack = pack;
-                  a.pack_c_stride = std::int64_t{p.R} * plan.packw;
-                  a.pack_r_stride = plan.packw;
-                }
-                a.f_c_stride = f_c_stride;
-                a.tc = tcn;
-                a.R = p.R;
-                a.S = p.S;
-                a.str = kstr;
-                a.packw = plan.packw;
-                a.out_k_stride = ls.out_k;
-                a.out_w_stride = ls.out_w;
-                a.wn = wn;
-                a.accumulate = !first_c;
-                a.relu = last_c && epi.relu;
-
-                // Dispatch against the per-conv resolution: interior
-                // when the tile fills its resolved block (the W tail
-                // uses the narrower vw_tail block, so its full tiles
-                // are interior too), masked-edge otherwise. Both slots
-                // are non-null for any registered block; the generic
-                // fallback only fires for blocks outside the registry.
-                const bool full_w = wn == vw;
-                const KernelResolution& kres = full_w ? main_k : tail_k;
-                const int rvw = full_w ? vw : vw_tail;
-
-                const auto call_compute = [&](const MicroArgs& args) {
-                  const ComputeKernelFn fn =
-                      args.wn == rvw && args.kn == vk ? kres.interior
-                                                      : kres.edge;
-                  if (fn != nullptr) {
-                    fn(args);
-                  } else {
-                    ++generic_calls;
-                    compute_kernel_generic(args, full_w ? vw : wn, vk);
-                  }
-                };
-                const auto call_fused = [&](const MicroArgs& args) {
-                  const FusedKernelFn fn =
-                      args.wn == rvw && args.kn == vk ? kres.interior_fused
-                                                      : kres.edge_fused;
-                  if (fn != nullptr) {
-                    fn(args, g);
-                  } else {
-                    ++generic_calls;
-                    fused_kernel_generic(args, g, full_w ? vw : wn, vk);
-                  }
-                };
-
-                for (std::int64_t b = 0; b < kbn; ++b) {     // loop L7
-                  const std::int64_t kv = (kb0 + b) * vk;
-                  a.kn = static_cast<int>(
-                      std::min<std::int64_t>(vk, p.K - kv));
-                  a.bias =
-                      last_c && epi.bias != nullptr ? epi.bias + kv : nullptr;
-                  a.ftile = ftile_base + b * f_kb_stride;
-                  a.out = out_image + kv * ls.out_k + hv * ls.out_row +
-                          wv * ls.out_w;
-                  if (b == 0 && direct_row) {
-                    // Nothing to pack: compute straight from the input.
-                    if constexpr (kCollect) {
-                      const std::uint64_t t0 = monotonic_ns();
-                      call_compute(a);
-                      micro_ns += monotonic_ns() - t0;
-                    } else {
-                      call_compute(a);
-                    }
-                  } else if (b == 0) {
-                    // First kv block: pack the input window. Fused mode
-                    // hides the packing behind this block's FMAs (its
-                    // cost lands in micro-kernel time, the attribution
-                    // the Fig. 5 ablation measures).
-                    if (opts.fuse_packing) {
-                      if constexpr (kCollect) {
-                        const std::uint64_t t0 = monotonic_ns();
-                        call_fused(a);
-                        micro_ns += monotonic_ns() - t0;
-                      } else {
-                        call_fused(a);
-                      }
-                    } else if constexpr (kCollect) {
-                      // Phase mode samples L1D around the pack call;
-                      // the reads sit outside the timer windows so the
-                      // pack/micro nanosecond split stays clean.
-                      const bool sample = pmu == 2 && pc != nullptr;
-                      std::uint64_t l1d0 = 0;
-                      if (sample)
-                        l1d0 = pc->read().value(PmuEvent::kL1DMisses);
-                      const std::uint64_t t0 = monotonic_ns();
-                      pack_window(pack, g, tcn, p.R, plan.packw);
-                      const std::uint64_t t1 = monotonic_ns();
-                      if (sample) {
-                        const std::uint64_t l1d1 =
-                            pc->read().value(PmuEvent::kL1DMisses);
-                        if (l1d1 > l1d0) pack_l1d += l1d1 - l1d0;
-                      }
-                      const std::uint64_t t2 = monotonic_ns();
-                      call_compute(a);
-                      pack_ns += t1 - t0;
-                      micro_ns += monotonic_ns() - t2;
-                    } else {
-                      pack_window(pack, g, tcn, p.R, plan.packw);
-                      call_compute(a);
-                    }
-                  } else if constexpr (kCollect) {
-                    const std::uint64_t t0 = monotonic_ns();
-                    call_compute(a);
-                    micro_ns += monotonic_ns() - t0;
-                  } else {
-                    call_compute(a);
-                  }
-                }
+            for (std::int64_t b = 0; b < kbn; ++b) {         // loop L7
+              const std::int64_t kv = (kb0 + b) * vk;
+              a.kn = static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
+              a.bias = last_c && epi.bias != nullptr ? epi.bias + kv : nullptr;
+              a.ftile = ftile_base + b * f_kb_stride;
+              a.out = out_image + kv * ls.out_k + hv * ls.out_row +
+                      wv * ls.out_w;
+              if (b == 0 && !direct_row && opts.fuse_packing) {
+                // First kv block: fused mode hides the input-window
+                // packing behind this block's FMAs (its cost lands in
+                // micro-kernel time, the attribution the Fig. 5
+                // ablation measures).
+                w.timed(Counter::kMicrokernelNs, call_fused);
+              } else {
+                // Sequential packing: the first kv block packs the
+                // window up front (a direct row has nothing to pack).
+                if (b == 0 && !direct_row)
+                  w.timed_pack([&] {
+                    pack_window(pack, g, tcn, p.R, plan.packw);
+                  });
+                w.timed(Counter::kMicrokernelNs, call_compute);
               }
             }
           }
         }
       }
-      if constexpr (kCollect) {
-        if (tracing) {
-          TraceSession& tr = TraceSession::global();
-          tr.complete("tile", tile_t0, tr.now_ns() - tile_t0, "row",
-                      rchunk, "k", kchunk);
-        }
-      }
     }
-    if constexpr (kCollect) {
-      const int w = static_cast<int>(tid);
-      tel.add(w, Counter::kPackNs, pack_ns);
-      tel.add(w, Counter::kTransformNs, transform_ns);
-      tel.add(w, Counter::kMicrokernelNs, micro_ns);
-      tel.add(w, Counter::kGenericFallback, generic_calls);
-      if (pc != nullptr) {
-        const PmuSample d = pmu_delta(pmu_t0, pc->read());
-        if (d.valid) {
-          tel.add(w, Counter::kPmuCycles, d.value(PmuEvent::kCycles));
-          tel.add(w, Counter::kPmuInstructions,
-                  d.value(PmuEvent::kInstructions));
-          tel.add(w, Counter::kPmuL1DMisses,
-                  d.value(PmuEvent::kL1DMisses));
-          tel.add(w, Counter::kPmuLLCMisses,
-                  d.value(PmuEvent::kLLCMisses));
-          tel.add(w, Counter::kPmuStalledCycles,
-                  d.value(PmuEvent::kStalledCycles));
-          if (pmu == 2) {
-            // The pack samples and the task delta come from the same
-            // group, so pack <= task holds up to multiplex rounding;
-            // clamp so micro = task - pack never underflows.
-            const std::uint64_t task_l1d =
-                d.value(PmuEvent::kL1DMisses);
-            const std::uint64_t pack_part =
-                pack_l1d < task_l1d ? pack_l1d : task_l1d;
-            tel.add(w, Counter::kPmuPackL1DMisses, pack_part);
-            tel.add(w, Counter::kPmuMicroL1DMisses,
-                    task_l1d - pack_part);
-          }
-          if (tracing) {
-            TraceSession::global().counter(
-                "pmu", "l1d_misses",
-                static_cast<std::int64_t>(
-                    d.value(PmuEvent::kL1DMisses)),
-                "llc_misses",
-                static_cast<std::int64_t>(
-                    d.value(PmuEvent::kLLCMisses)));
-          }
-        }
-      }
-    }
-  };
+  });
+}
 
-  WallTimer run_timer;
-  if (tracing)
-    TraceSession::global().begin("ndirect.run", "workers", num_workers);
-  if (collect) {
-    pool.run(static_cast<std::size_t>(num_workers), [&](std::size_t t) {
-      worker.template operator()<true>(t);
-    });
-  } else {
-    pool.run(static_cast<std::size_t>(num_workers), [&](std::size_t t) {
-      worker.template operator()<false>(t);
-    });
+// One run of `conv` in either layout: the filter arrives from the
+// packed-filter cache, an ahead-of-time transform, or (neither) on the
+// fly inside the loop nest.
+void run_layout(const NdirectConv& conv, const LayoutStrides& ls,
+                const float* input, const float* filter, float* output,
+                const NdirectConv::Epilogue& epilogue) {
+  const NdirectOptions& options = conv.options();
+  const ConvParams& p = conv.params();
+  const int vk = conv.plan().rb.vk;
+  const float* aot_data = nullptr;
+  Tensor aot;
+  bool cache_hit = false;
+  if (options.cache_packed_filter) {
+    // A warm entry means this run is served from the packed-filter
+    // cache (no transform at all); only probed when a telemetry sink
+    // will record it, so the plain path pays nothing.
+    if (options.telemetry != nullptr && telemetry_enabled())
+      cache_hit = conv.filter_cache_warm(filter);
+    aot_data = conv.prepare_filter(filter);
+  } else if (options.aot_filter) {
+    WallTimer t;
+    // The tiled transform over the whole tensor (identical layout to
+    // pack_filter_kpacked).
+    aot = Tensor({(p.K + vk - 1) / vk, p.C, p.R, p.S, vk}, Layout::KPacked);
+    transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
+                          static_cast<int>(aot.dim(0)) * vk, 0, p.C, vk,
+                          aot.data());
+    if (options.phase_timer != nullptr)
+      options.phase_timer->add("transform", t.seconds());
+    aot_data = aot.data();
   }
-  if (tracing) TraceSession::global().end("ndirect.run");
-  if (opts.sched_stats != nullptr) *opts.sched_stats = sched.stats();
-  if (collect) {
-    TelemetrySnapshot snap = tel.snapshot(run_timer.seconds());
-    // Claim/steal attribution comes straight from the scheduler's
-    // per-worker counters (written by each worker's own claims, read
-    // after the dispatch join).
-    for (int w = 0; w < num_workers; ++w) {
-      TelemetrySnapshot::Worker& row =
-          snap.workers[static_cast<std::size_t>(w)];
-      row.v[static_cast<int>(Counter::kTilesClaimed)] =
-          sched.worker_executed(w);
-      row.v[static_cast<int>(Counter::kLocalSteals)] =
-          sched.worker_steals(w, StealClass::kLocal);
-      row.v[static_cast<int>(Counter::kNeighbourSteals)] =
-          sched.worker_steals(w, StealClass::kNeighbour);
-      row.v[static_cast<int>(Counter::kGlobalSteals)] =
-          sched.worker_steals(w, StealClass::kGlobal);
-    }
-    if (opts.phase_timer != nullptr) {
-      // Compatibility aggregation view: the historical phase names,
-      // one add() per phase per run, and only for phases that actually
-      // ran — fused mode still reports seconds("packing") == 0.
-      const double transform = snap.phase_seconds(Counter::kTransformNs);
-      const double packing = snap.phase_seconds(Counter::kPackNs);
-      const double micro = snap.phase_seconds(Counter::kMicrokernelNs);
-      if (transform > 0) opts.phase_timer->add("transform", transform);
-      if (packing > 0) opts.phase_timer->add("packing", packing);
-      if (micro > 0) opts.phase_timer->add("micro-kernel", micro);
-    }
-    // Live metrics plane: fold this run's deltas into the process-wide
-    // registry so always-on scrapers see engine activity without a
-    // per-run sink (runtime/metrics.h).
-    snap.publish_metrics();
-    if (opts.telemetry != nullptr) *opts.telemetry = std::move(snap);
-  } else if (opts.telemetry != nullptr) {
-    // Disabled collection must not leave a stale previous snapshot.
-    *opts.telemetry = TelemetrySnapshot{};
+  run_nest(conv.exec_params(), conv.plan(), options, ls, input, filter,
+           aot_data, output, epilogue);
+  if (cache_hit && options.telemetry != nullptr &&
+      !options.telemetry->workers.empty()) {
+    options.telemetry->workers[0]
+        .v[static_cast<int>(Counter::kCacheHits)] += 1;
   }
 }
 
@@ -671,38 +486,7 @@ Tensor NdirectConv::run(const Tensor& input, const Tensor& filter,
 
 void NdirectConv::run_into(const float* input, const float* filter,
                            float* output, const Epilogue& epilogue) const {
-  const float* aot_data = nullptr;
-  Tensor aot;
-  bool cache_hit = false;
-  if (options_.cache_packed_filter) {
-    // A warm entry means this run is served from the packed-filter
-    // cache (no transform at all); only probed when a telemetry sink
-    // will record it, so the plain path pays nothing.
-    if (options_.telemetry != nullptr && telemetry_enabled())
-      cache_hit = filter_cache_warm(filter);
-    aot_data = prepare_filter(filter);
-  } else if (options_.aot_filter) {
-    WallTimer t;
-    // Wrap the raw filter in a transform call via the tiled routine on
-    // the whole tensor (identical layout to pack_filter_kpacked).
-    const ConvParams& p = params_;
-    aot = Tensor({(p.K + plan_.rb.vk - 1) / plan_.rb.vk, p.C, p.R, p.S,
-                  plan_.rb.vk},
-                 Layout::KPacked);
-    transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
-                          static_cast<int>(aot.dim(0)) * plan_.rb.vk, 0,
-                          p.C, plan_.rb.vk, aot.data());
-    if (options_.phase_timer != nullptr)
-      options_.phase_timer->add("transform", t.seconds());
-    aot_data = aot.data();
-  }
-  run_nest(exec_, plan_, options_, nchw_strides(exec_), input, filter,
-           aot_data, output, epilogue);
-  if (cache_hit && options_.telemetry != nullptr &&
-      !options_.telemetry->workers.empty()) {
-    options_.telemetry->workers[0]
-        .v[static_cast<int>(Counter::kCacheHits)] += 1;
-  }
+  run_layout(*this, nchw_strides(exec_), input, filter, output, epilogue);
 }
 
 const float* NdirectConv::prepare_filter(const float* filter) const {
@@ -787,24 +571,8 @@ Tensor NdirectConv::run_nhwc(const Tensor& input, const Tensor& filter,
   }
 
   Tensor out = make_output_nhwc(p.N, p.P(), p.Q(), p.K);
-  const float* aot_data = nullptr;
-  Tensor aot;
-  bool cache_hit = false;
-  if (options_.cache_packed_filter) {
-    if (options_.telemetry != nullptr && telemetry_enabled())
-      cache_hit = filter_cache_warm(filter.data());
-    aot_data = prepare_filter(filter.data());
-  } else if (options_.aot_filter) {
-    aot = pack_filter_kpacked(filter, plan_.rb.vk);
-    aot_data = aot.data();
-  }
-  run_nest(exec_, plan_, options_, nhwc_strides(exec_), input.data(),
-           filter.data(), aot_data, out.data(), epilogue);
-  if (cache_hit && options_.telemetry != nullptr &&
-      !options_.telemetry->workers.empty()) {
-    options_.telemetry->workers[0]
-        .v[static_cast<int>(Counter::kCacheHits)] += 1;
-  }
+  run_layout(*this, nhwc_strides(exec_), input.data(), filter.data(),
+             out.data(), epilogue);
   return out;
 }
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/exec.h"
+
 namespace ndirect {
 
 Tensor grouped_conv_nchw(const Tensor& input, const Tensor& filter,
@@ -38,41 +40,49 @@ Tensor grouped_conv_nchw(const Tensor& input, const Tensor& filter,
   const std::int64_t flt_group =
       std::int64_t{kg} * cg * p.R * p.S;
 
-  ThreadPool& tp =
-      options.pool != nullptr ? *options.pool : ThreadPool::global();
+  ThreadPool& tp = exec_pool(options.pool);
   const int threads = options.threads > 0 ? options.threads
                                           : static_cast<int>(tp.size());
-  const std::size_t jobs = static_cast<std::size_t>(p.N) * groups;
+  const std::int64_t jobs = std::int64_t{p.N} * groups;
 
-  auto run_job = [&](const NdirectConv& conv, std::size_t job) {
-    const std::int64_t n = static_cast<std::int64_t>(job) / groups;
-    const std::int64_t g = static_cast<std::int64_t>(job) % groups;
+  auto run_job = [&](const NdirectConv& conv, std::int64_t job) {
+    const std::int64_t n = job / groups;
+    const std::int64_t g = job % groups;
     conv.run_into(input.data() + n * p.C * p.H * p.W + g * in_group,
                   filter.data() + g * flt_group,
                   out.data() + std::int64_t{n} * p.K * P * Q +
                       g * out_group);
   };
 
-  if (threads > 1 && jobs >= static_cast<std::size_t>(threads)) {
-    // Enough (image, group) pairs to occupy every core: claim whole
-    // pairs dynamically and run each group's convolution single-thread
-    // (run_nest with one worker executes inline on the claiming worker,
-    // so nesting is deadlock-free). Each pair writes a disjoint output
-    // block.
+  if (threads > 1 && jobs >= threads) {
+    // Enough (image, group) pairs to occupy every core: one tile per
+    // pair, each running its group's convolution single-thread (a
+    // one-worker run executes inline on the claiming worker, so nesting
+    // is deadlock-free, and its scratch sits one arena level deeper).
+    // Each pair writes a disjoint output block. The sinks describe this
+    // outer run; the inner runs report nothing.
     NdirectOptions inner = options;
     inner.pool = nullptr;
     inner.threads = 1;
     inner.force_mapping = {1, 1};
+    inner.extra_stealers = 0;
+    inner.telemetry = nullptr;
+    inner.phase_timer = nullptr;
+    inner.sched_stats = nullptr;
     const NdirectConv conv(pg, inner);
-    tp.parallel_for_dynamic(
-        jobs, 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t job = begin; job < end; ++job)
-            run_job(conv, job);
-        });
+    ExecOptions eo;
+    eo.pool = &tp;
+    eo.stealing = options.schedule == SchedulePolicy::kStealing;
+    eo.telemetry = options.telemetry;
+    eo.phase_timer = options.phase_timer;
+    eo.sched_stats = options.sched_stats;
+    run_tiles(row_grid(jobs, threads), eo, [&](auto& w, int job, int) {
+      w.timed(Counter::kMicrokernelNs, [&] { run_job(conv, job); });
+    });
   } else {
     // Few groups: let each group's convolution use the whole grid.
     const NdirectConv conv(pg, options);
-    for (std::size_t job = 0; job < jobs; ++job) run_job(conv, job);
+    for (std::int64_t job = 0; job < jobs; ++job) run_job(conv, job);
   }
   return out;
 }

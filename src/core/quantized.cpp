@@ -1,238 +1,23 @@
 #include "core/quantized.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
+#include "core/exec.h"
 #include "core/fai.h"
 #include "runtime/aligned_buffer.h"
-#include "runtime/scratch.h"
 #include "simd/vec128.h"
 #include "simd/vec128_int8.h"
 
 namespace ndirect {
 
-std::int32_t choose_qmax(std::int64_t reduction_len) {
-  if (reduction_len < 1) reduction_len = 1;
-  const double limit =
-      std::sqrt(static_cast<double>((1u << 31) - 1) /
-                static_cast<double>(reduction_len));
-  return static_cast<std::int32_t>(
-      std::min(32767.0, std::floor(limit)));
-}
-
-QuantizedTensor quantize_tensor(const float* data, std::size_t n,
-                                std::int32_t qmax) {
-  QuantizedTensor q;
-  float max_abs = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_abs = std::max(max_abs, std::fabs(data[i]));
-  }
-  q.scale = max_abs > 0 ? max_abs / static_cast<float>(qmax) : 1.0f;
-  q.values.resize(n);
-  const float inv = 1.0f / q.scale;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = data[i] * inv;
-    const auto r = static_cast<std::int32_t>(std::lrintf(v));
-    q.values[i] = static_cast<std::int16_t>(
-        std::clamp<std::int32_t>(r, -qmax, qmax));
-  }
-  return q;
-}
-
-void dequantize(const QuantizedTensor& q, float* out) {
-  for (std::size_t i = 0; i < q.values.size(); ++i) {
-    out[i] = q.scale * static_cast<float>(q.values[i]);
-  }
-}
-
-namespace {
-
-// Pack one (c, ih) int16 row segment with zero padding.
-void pack_row_i16(std::int16_t* dst, const std::int16_t* image, int c,
-                  int ih, int iw0, const ConvParams& p, int packw) {
-  if (ih < 0 || ih >= p.H) {
-    std::memset(dst, 0,
-                sizeof(std::int16_t) * static_cast<std::size_t>(packw));
-    return;
-  }
-  const std::int16_t* row =
-      image + (static_cast<std::int64_t>(c) * p.H + ih) * p.W;
-  for (int t = 0; t < packw; ++t) {
-    const int iw = iw0 + t;
-    dst[t] = (iw < 0 || iw >= p.W) ? std::int16_t{0} : row[iw];
-  }
-}
-
-}  // namespace
-
-void ndirect_conv_int16(const std::int16_t* input,
-                        const std::int16_t* filter, std::int32_t* output,
-                        const ConvParams& p, ThreadPool* pool) {
-  assert(p.valid());
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  // Register block: int16 packs 8 lanes per 128-bit vector but
-  // accumulates in 4-lane int32, so the accumulator budget matches the
-  // FP32 geometry; reuse the FP32 solution (widening halves vk's
-  // effective lanes, hence vk stays a multiple of 4).
-  const RegisterBlock rb = solve_register_block(p.S);
-  const int vw = rb.vw, vk = rb.vk;
-  const int packw = (vw - 1) * p.str + p.S;
-  const int P = p.P(), Q = p.Q();
-  const std::int64_t kb_count = (p.K + vk - 1) / vk;
-  const std::int64_t crs = std::int64_t{p.C} * p.R * p.S;
-  const std::int64_t rs = std::int64_t{p.R} * p.S;
-
-  // Widen-free packed filter: [KB][C][R][S][vk] int16, K zero-padded.
-  AlignedBuffer<std::int16_t> packed_filter(
-      static_cast<std::size_t>(kb_count) * p.C * rs * vk);
-  packed_filter.fill_zero();
-  for (int k = 0; k < p.K; ++k) {
-    const std::int64_t kb = k / vk, ki = k % vk;
-    for (int c = 0; c < p.C; ++c) {
-      for (std::int64_t e = 0; e < rs; ++e) {
-        packed_filter[static_cast<std::size_t>(
-            ((kb * p.C + c) * rs + e) * vk + ki)] =
-            filter[k * crs + c * rs + e];
-      }
-    }
-  }
-
-  const std::int64_t total_rows = std::int64_t{p.N} * P;
-  tp.parallel_for(
-      static_cast<std::size_t>(total_rows),
-      [&](std::size_t row_begin, std::size_t row_end) {
-        AlignedBuffer<std::int16_t> pack(
-            static_cast<std::size_t>(p.C) * p.R * packw);
-        std::vector<std::int32_t> acc(
-            static_cast<std::size_t>(vw) * vk);
-        for (std::size_t row = row_begin; row < row_end; ++row) {
-          const std::int64_t n = static_cast<std::int64_t>(row) / P;
-          const int oh = static_cast<int>(row % P);
-          const std::int16_t* image =
-              input + n * std::int64_t{p.C} * p.H * p.W;
-          std::int32_t* out_image =
-              output + n * std::int64_t{p.K} * P * Q;
-
-          for (int wv = 0; wv < Q; wv += vw) {
-            const int wn = std::min(vw, Q - wv);
-            for (int c = 0; c < p.C; ++c) {
-              for (int r = 0; r < p.R; ++r) {
-                pack_row_i16(
-                    pack.data() +
-                        (static_cast<std::int64_t>(c) * p.R + r) * packw,
-                    image, c, oh * p.str + r - p.pad, wv * p.str - p.pad,
-                    p, packw);
-              }
-            }
-            for (std::int64_t kb = 0; kb < kb_count; ++kb) {
-              const std::int64_t kv = kb * vk;
-              const int kn =
-                  static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
-              std::fill(acc.begin(), acc.end(), 0);
-              const std::int16_t* ftile =
-                  packed_filter.data() + kb * p.C * rs * vk;
-              // The widening MAC loop (SMLAL shape): int16 * int16
-              // products accumulate into int32 lanes.
-              for (int c = 0; c < p.C; ++c) {
-                const std::int16_t* brows =
-                    pack.data() +
-                    (static_cast<std::int64_t>(c) * p.R) * packw;
-                const std::int16_t* fc = ftile + c * rs * vk;
-                for (int r = 0; r < p.R; ++r) {
-                  const std::int16_t* brow = brows + r * packw;
-                  const std::int16_t* frow = fc + r * p.S * vk;
-                  for (int s = 0; s < p.S; ++s) {
-                    const std::int16_t* fv = frow + s * vk;
-                    for (int w = 0; w < wn; ++w) {
-                      const std::int32_t x = brow[w * p.str + s];
-                      std::int32_t* arow = acc.data() + w * vk;
-                      for (int j = 0; j < kn; ++j) {
-                        arow[j] += x * fv[j];
-                      }
-                    }
-                  }
-                }
-              }
-              for (int k = 0; k < kn; ++k) {
-                std::int32_t* orow =
-                    out_image + ((kv + k) * P + oh) * Q + wv;
-                for (int w = 0; w < wn; ++w) {
-                  orow[w] = acc[static_cast<std::size_t>(w) * vk +
-                                static_cast<std::size_t>(k)];
-                }
-              }
-            }
-          }
-        }
-      });
-}
-
-std::vector<float> quantized_conv_fp32(const float* input,
-                                       const float* filter,
-                                       const ConvParams& p,
-                                       ThreadPool* pool) {
-  const std::int64_t reduction = std::int64_t{p.C} * p.R * p.S;
-  const std::int32_t qmax = choose_qmax(reduction);
-  const QuantizedTensor qin = quantize_tensor(
-      input, static_cast<std::size_t>(p.input_elems()), qmax);
-  const QuantizedTensor qflt = quantize_tensor(
-      filter, static_cast<std::size_t>(p.filter_elems()), qmax);
-
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(p.output_elems()));
-  ndirect_conv_int16(qin.values.data(), qflt.values.data(), acc.data(), p,
-                     pool);
-
-  std::vector<float> out(acc.size());
-  const float scale = qin.scale * qflt.scale;
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    out[i] = scale * static_cast<float>(acc[i]);
-  }
-  return out;
-}
-
-void naive_conv_int16(const std::int16_t* input,
-                      const std::int16_t* filter, std::int64_t* output,
-                      const ConvParams& p) {
-  const int P = p.P(), Q = p.Q();
-  for (int n = 0; n < p.N; ++n)
-    for (int k = 0; k < p.K; ++k)
-      for (int oj = 0; oj < P; ++oj)
-        for (int oi = 0; oi < Q; ++oi) {
-          std::int64_t sum = 0;
-          for (int c = 0; c < p.C; ++c)
-            for (int r = 0; r < p.R; ++r) {
-              const int ij = p.str * oj + r - p.pad;
-              if (ij < 0 || ij >= p.H) continue;
-              for (int s = 0; s < p.S; ++s) {
-                const int ii = p.str * oi + s - p.pad;
-                if (ii < 0 || ii >= p.W) continue;
-                sum += static_cast<std::int64_t>(
-                           input[((std::int64_t{n} * p.C + c) * p.H +
-                                  ij) *
-                                     p.W +
-                                 ii]) *
-                       filter[((std::int64_t{k} * p.C + c) * p.R + r) *
-                                  p.S +
-                              s];
-              }
-            }
-          output[((std::int64_t{n} * p.K + k) * P + oj) * Q + oi] = sum;
-        }
-}
-
-// ---------------------------------------------------------------------------
-// INT8 path
-// ---------------------------------------------------------------------------
-
 std::int32_t choose_qmax_int8(std::int64_t reduction_len) {
-  // Exact integer search (the sqrt/floor shortcut of choose_qmax is off
-  // by one exactly at the boundary: 133144 * 127^2 = 2147479576 still
-  // fits, but floor(sqrt(INT32_MAX / 133144)) = 126).
+  // Exact integer search (a sqrt/floor shortcut is off by one exactly at
+  // the boundary: 133144 * 127^2 = 2147479576 still fits, but
+  // floor(sqrt(INT32_MAX / 133144)) = 126).
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
   if (reduction_len < 1) reduction_len = 1;
   if (reduction_len >= kMax) return 1;
@@ -445,6 +230,10 @@ std::shared_ptr<const Int8Conv::PackedFilter> i8_pack_filter(
 
 Int8Conv::Int8Conv(const ConvParams& p, const Int8ConvOptions& opt)
     : p_(p), opt_(opt) {
+  if (!p.valid()) {
+    throw std::invalid_argument("Int8Conv: invalid convolution " +
+                                p.to_string());
+  }
   rb_ = (opt_.force_block.vw > 0 && opt_.force_block.vk > 0)
             ? opt_.force_block
             : solve_register_block(p_.S);
@@ -466,10 +255,11 @@ void Int8Conv::prepare_filter(const std::int8_t* filter) const {
 void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
                    const std::int8_t* filter, const Int8Epilogue& ep,
                    const Int8Output& out, Int8RunStats* stats) const {
-  assert(p_.valid());
-  assert((out.i32 != nullptr) + (out.s8 != nullptr) +
-             (out.f32 != nullptr) ==
-         1);
+  if ((out.i32 != nullptr) + (out.s8 != nullptr) + (out.f32 != nullptr) !=
+      1) {
+    throw std::invalid_argument(
+        "Int8Conv::run: set exactly one of Int8Output::i32/s8/f32");
+  }
   std::shared_ptr<const PackedFilter> pf;
   if (opt_.cache_packed_filter) {
     prepare_filter(filter);
@@ -479,8 +269,6 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
     pf = i8_pack_filter(filter, p_, rb_.vk);
   }
 
-  ThreadPool& tp =
-      opt_.pool != nullptr ? *opt_.pool : ThreadPool::global();
   const int vw = rb_.vw, vk = rb_.vk;
   const I8ExecShape ex = i8_exec_shape(p_);
   const int packw = (vw - 1) * p_.str + p_.S;
@@ -502,78 +290,74 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
         (128 - in_zero_point) * pf->rowsum[static_cast<std::size_t>(k)];
   }
 
+  // One tile per Vw-wide output window: the body packs the window once
+  // and runs every K block over it, so a tile carries its whole
+  // reduction and all K outputs.
   const I8KernelFn fn = kres_.fn;
   const int tq = (ex.Q + vw - 1) / vw;
   const std::int64_t tiles_per_image = std::int64_t{ex.P} * tq;
-  const std::int64_t total = p_.N * tiles_per_image;
-  std::atomic<std::uint64_t> kernel_calls{0};
-  std::atomic<std::uint64_t> generic_calls{0};
-
-  tp.parallel_for(
-      static_cast<std::size_t>(total),
-      [&](std::size_t begin, std::size_t end) {
-        const ScratchDepth depth;
-        ScratchArena& arena = this_thread_scratch();
-        const std::size_t pack_bytes =
-            static_cast<std::size_t>(c4) * p_.R * rowbytes;
-        auto* pack = reinterpret_cast<std::int8_t*>(arena.floats(
-            depth.level(), ScratchSlot::kAux0, pack_bytes / 4));
+  ThreadPool& pool = exec_pool(opt_.pool);
+  ExecOptions eo;
+  eo.pool = &pool;
+  eo.telemetry = opt_.telemetry;
+  eo.scratch[static_cast<int>(ScratchSlot::kAux0)] =
+      static_cast<std::size_t>(c4) * p_.R * rowbytes / 4;
+  eo.scratch[static_cast<int>(ScratchSlot::kAux1)] =
+      static_cast<std::size_t>(vw) * vk;
+  const ExecResult r = run_tiles(
+      row_grid(p_.N * tiles_per_image, static_cast<int>(pool.size())), eo,
+      [&](auto& w, int tile, int) {
+        auto* pack = reinterpret_cast<std::int8_t*>(
+            w.scratch(ScratchSlot::kAux0));
         auto* acc = reinterpret_cast<std::int32_t*>(
-            arena.floats(depth.level(), ScratchSlot::kAux1,
-                         static_cast<std::size_t>(vw) * vk));
-        std::uint64_t local_calls = 0, local_generic = 0;
-        for (std::size_t t = begin; t < end; ++t) {
-          const auto ti = static_cast<std::int64_t>(t);
-          const std::int64_t n = ti / tiles_per_image;
-          const std::int64_t rem = ti % tiles_per_image;
-          const int oh = static_cast<int>(rem / tq);
-          const int wv = static_cast<int>(rem % tq) * vw;
-          const int wn = std::min(vw, ex.Q - wv);
-          const std::uint8_t* image =
-              input + n * std::int64_t{p_.C} * ex.H * ex.W;
-          const std::int64_t out_base =
-              n * std::int64_t{p_.K} * k_stride +
-              std::int64_t{oh} * ex.Q + wv;
+            w.scratch(ScratchSlot::kAux1));
+        const std::int64_t n = tile / tiles_per_image;
+        const std::int64_t rem = tile % tiles_per_image;
+        const int oh = static_cast<int>(rem / tq);
+        const int wv = static_cast<int>(rem % tq) * vw;
+        const int wn = std::min(vw, ex.Q - wv);
+        const std::uint8_t* image =
+            input + n * std::int64_t{p_.C} * ex.H * ex.W;
+        const std::int64_t out_base =
+            n * std::int64_t{p_.K} * k_stride + std::int64_t{oh} * ex.Q + wv;
 
+        w.timed_pack([&] {
           i8_pack_window(pack, image, p_.C, ex.H, ex.W, c4, p_.R,
-                         oh * p_.str - p_.pad, wv * p_.str - p_.pad,
-                         packw, rowbytes, border);
+                         oh * p_.str - p_.pad, wv * p_.str - p_.pad, packw,
+                         rowbytes, border);
+        });
+        if (fn == nullptr) w.count_generic();
+        w.timed(Counter::kMicrokernelNs, [&] {
+          I8MicroArgs a;
+          a.pack = pack;
+          a.pack_c4_stride = std::int64_t{p_.R} * rowbytes;
+          a.pack_r_stride = rowbytes;
+          a.f_c4_stride = std::int64_t{p_.R} * p_.S * vk * 4;
+          a.c4 = c4;
+          a.R = p_.R;
+          a.S = p_.S;
+          a.str = p_.str;
+          a.packw = packw;
+          a.acc = acc;
           for (std::int64_t kb = 0; kb < kb_count; ++kb) {
             const std::int64_t kv = kb * vk;
             const int kn =
                 static_cast<int>(std::min<std::int64_t>(vk, p_.K - kv));
-            I8MicroArgs a;
-            a.pack = pack;
-            a.pack_c4_stride = std::int64_t{p_.R} * rowbytes;
-            a.pack_r_stride = rowbytes;
             a.ftile = pf->data.data() + kb * ftile_stride;
-            a.f_c4_stride = std::int64_t{p_.R} * p_.S * vk * 4;
-            a.c4 = c4;
-            a.R = p_.R;
-            a.S = p_.S;
-            a.str = p_.str;
-            a.packw = packw;
-            a.acc = acc;
-            ++local_calls;
             if (fn != nullptr) {
               fn(a);
             } else {
-              ++local_generic;
               int8_kernel_generic(a, vw, vk);
             }
             i8_store_tile(ep, out, acc, comp.data(), vw, wn, kn, kv,
                           k_stride, out_base);
           }
-        }
-        kernel_calls.fetch_add(local_calls, std::memory_order_relaxed);
-        generic_calls.fetch_add(local_generic,
-                                std::memory_order_relaxed);
+        });
       });
 
   if (stats != nullptr) {
-    stats->tiles = kernel_calls.load(std::memory_order_relaxed);
-    stats->generic_fallback =
-        generic_calls.load(std::memory_order_relaxed);
+    stats->tiles = r.tiles;
+    stats->generic_fallback = r.generic_fallback;
     stats->backend = backend();
     stats->vw = vw;
     stats->vk = vk;

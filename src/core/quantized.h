@@ -1,22 +1,15 @@
-// Quantized convolution: the int16 per-tensor proof-of-concept
-// (Section 3.3's last datatype) and the production int8 path
-// (DESIGN.md §14).
+// Quantized convolution: the int8 path (DESIGN.md §14).
 //
-// INT16: symmetric per-tensor quantization, real = scale * q. The
-// kernel multiply-accumulates int16 x int16 into int32 (the NEON SMLAL
-// pattern) and returns raw int32 accumulators.
-//
-// INT8: asymmetric u8 activations (real = in_scale * (u - zero_point)),
+// Asymmetric u8 activations (real = in_scale * (u - zero_point)),
 // symmetric per-channel s8 filters (real = w_scale[k] * w). Int8Conv
 // packs inputs XORed with 0x80 and runs the SDOT/emulated/scalar policy
 // kernels of core/quantized_microkernel.h, finishing each tile with a
 // fused requantize epilogue (raw int32, saturating s8 with
 // round-to-nearest-even, or dequantized fp32 with optional bias+ReLU).
 //
-// Overflow contracts: choose_qmax() bounds int16 magnitudes so a
-// C*R*S-long reduction provably fits int32; choose_qmax_int8() is the
-// int8 analogue (products reach 127^2, so the bound only bites for
-// reductions past ~133k elements).
+// Overflow contract: choose_qmax_int8() bounds filter magnitudes so a
+// C*R*S-long reduction provably fits int32 (products reach 127^2, so
+// the bound only bites for reductions past ~133k elements).
 #pragma once
 
 #include <cstdint>
@@ -25,56 +18,16 @@
 #include <vector>
 
 #include "core/quantized_microkernel.h"
+#include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
 
 namespace ndirect {
 
-struct QuantizedTensor {
-  std::vector<std::int16_t> values;
-  float scale = 1.0f;  ///< real = scale * q
-};
-
-/// Largest symmetric quantized magnitude Q such that
-/// reduction_len * Q * Q < 2^31 (and Q <= 32767).
-std::int32_t choose_qmax(std::int64_t reduction_len);
-
-/// Quantize `n` floats symmetrically into [-qmax, qmax].
-QuantizedTensor quantize_tensor(const float* data, std::size_t n,
-                                std::int32_t qmax);
-
-/// Dequantize helper (tests/examples).
-void dequantize(const QuantizedTensor& q, float* out);
-
-/// input NCHW int16, filter KCRS int16 -> raw int32 accumulators
-/// [N,K,P,Q] (value = in_scale * flt_scale * acc in real units).
-void ndirect_conv_int16(const std::int16_t* input,
-                        const std::int16_t* filter, std::int32_t* output,
-                        const ConvParams& p, ThreadPool* pool = nullptr);
-
-/// Full quantized pipeline: quantize fp32 tensors (ranges derived from
-/// the data and the overflow contract), convolve in int16/int32, and
-/// return the dequantized fp32 result. The quantization error bound is
-/// what tests assert against the fp32 reference.
-std::vector<float> quantized_conv_fp32(const float* input,
-                                       const float* filter,
-                                       const ConvParams& p,
-                                       ThreadPool* pool = nullptr);
-
-/// Naive int64-accumulation reference (exact) for tests.
-void naive_conv_int16(const std::int16_t* input,
-                      const std::int16_t* filter, std::int64_t* output,
-                      const ConvParams& p);
-
-// ---------------------------------------------------------------------------
-// INT8 path
-// ---------------------------------------------------------------------------
-
 /// Largest symmetric s8 magnitude Q (<= 127) such that a reduction of
 /// `reduction_len` worst-case products provably fits an int32
 /// accumulator: reduction_len * Q^2 <= 2^31 - 1. Returns 127 for every
-/// reduction up to 133144 elements and only then starts shrinking —
-/// the int8 analogue of choose_qmax().
+/// reduction up to 133144 elements and only then starts shrinking.
 std::int32_t choose_qmax_int8(std::int64_t reduction_len);
 
 /// Asymmetric u8 activation quantization: real = scale * (u - zero_point).
@@ -123,9 +76,13 @@ struct Int8Output {
   float* f32 = nullptr;
 };
 
+/// What one run executed, from the execution core's counters (filled
+/// whether or not a telemetry sink is attached).
 struct Int8RunStats {
-  std::uint64_t tiles = 0;
-  std::uint64_t generic_fallback = 0;  ///< tiles run by the scalar generic
+  std::uint64_t tiles = 0;  ///< Vw-wide output windows (all K each)
+  /// Tiles whose K-block loop ran the scalar generic kernel. The kernel
+  /// is resolved once per conv, so this is 0 or every tile.
+  std::uint64_t generic_fallback = 0;
   Int8Backend backend = Int8Backend::kScalar;  ///< backend actually used
   int vw = 0, vk = 0;
   const char* reason = "";  ///< why fn resolution degraded, if it did
@@ -141,6 +98,9 @@ struct Int8ConvOptions {
   /// Reuse the packed filter across run() calls keyed by the filter
   /// pointer (mirrors the fp32 engine's packed-filter cache).
   bool cache_packed_filter = true;
+  /// Per-run telemetry sink, as NdirectOptions::telemetry: overwritten
+  /// by every run() with its per-worker counters and wall time.
+  TelemetrySnapshot* telemetry = nullptr;
 };
 
 /// The int8 direct-convolution engine. Holds the conv geometry, the
@@ -166,7 +126,8 @@ class Int8Conv {
   void prepare_filter(const std::int8_t* filter) const;
 
   /// u8 NCHW input -> epilogue-selected output. `in_zero_point` is the
-  /// activation zero point in [0, 255].
+  /// activation zero point in [0, 255]. Throws std::invalid_argument
+  /// unless exactly one Int8Output pointer is set.
   void run(const std::uint8_t* input, int in_zero_point,
            const std::int8_t* filter, const Int8Epilogue& ep,
            const Int8Output& out, Int8RunStats* stats = nullptr) const;
@@ -180,8 +141,7 @@ class Int8Conv {
   mutable std::mutex mu_;
 };
 
-/// Convenience wrapper mirroring quantized_conv_fp32: quantize fp32
-/// input (u8 asymmetric) and filter (s8 per-channel), convolve through
+/// Convenience wrapper: quantize fp32 input (u8 asymmetric) and filter (s8 per-channel), convolve through
 /// Int8Conv, and dequantize to fp32 with optional fused bias + ReLU.
 std::vector<float> int8_conv_fp32(const float* input, const float* filter,
                                   const ConvParams& p,

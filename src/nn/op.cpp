@@ -99,7 +99,8 @@ void ConvOp::set_worker_budget(int budget, int extra_stealers) {
 void ConvOp::set_telemetry(TelemetrySnapshot* sink) {
   if (telemetry_ == sink) return;
   telemetry_ = sink;
-  engine_.reset();  // the sink pointer is baked into the engine's options
+  engine_.reset();  // the sink pointer is baked into the engines' options
+  qengine_.reset();
 }
 
 TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
@@ -126,6 +127,7 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
     Int8ConvOptions qopts;
     qopts.pool = pool_;
     qopts.cache_packed_filter = filter_cache_;
+    qopts.telemetry = telemetry_;
     qengine_ = std::make_unique<Int8Conv>(params_, qopts);
   }
   if (filter_dirty_ || !qfilter_ready_) {

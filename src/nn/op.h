@@ -108,8 +108,9 @@ class ConvOp final : public Op {
   int extra_stealers() const { return extra_stealers_; }
 
   /// Collect per-run engine telemetry into `sink` (see
-  /// NdirectOptions::telemetry): every forward() on the Ndirect backend
-  /// overwrites it with that run's per-worker counters and wall time.
+  /// NdirectOptions::telemetry): every forward() on the Ndirect backend,
+  /// fp32 or quantized, overwrites it with that run's per-worker
+  /// counters and wall time.
   /// nullptr (the default) disables collection. Ops that may run
   /// concurrently (graph branches) need distinct sinks; merge the
   /// snapshots afterwards for a whole-graph view.
@@ -151,8 +152,8 @@ class ConvOp final : public Op {
   mutable bool filter_dirty_ = false;
   // Planned engine for the Ndirect backend (lazy, shape is fixed).
   mutable std::unique_ptr<NdirectConv> engine_;
-  // Int8 path state (lazy; rebuilt when the pool changes or the filter
-  // goes dirty).
+  // Int8 path state (lazy; rebuilt when the pool or telemetry sink
+  // changes, re-quantized when the filter goes dirty).
   bool quantized_ = false;
   mutable std::unique_ptr<Int8Conv> qengine_;
   mutable QuantizedFilterI8 qfilter_;

@@ -44,7 +44,8 @@ enum class Counter : int {
   kGenericFallback,    ///< micro-kernel calls that fell back to the
                        ///< runtime-loop generic kernel (un-specialized
                        ///< block — the tuning-gap signal; 0 when every
-                       ///< tile ran a registry kernel)
+                       ///< tile ran a registry kernel). The int8 engine
+                       ///< counts one per window tile.
   // Hardware (PMU) counters, filled from per-thread perf_event_open
   // group deltas (runtime/perf_counters.h) when NDIRECT_PMU is on and
   // the host allows it; all zero otherwise. The first five mirror

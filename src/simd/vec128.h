@@ -112,13 +112,18 @@ inline vec128f vload_partial(const float* p) {
 #elif defined(NDIRECT_SIMD_SSE)
     if constexpr (N == 1) {
       return {_mm_load_ss(p)};
-    } else if constexpr (N == 2) {
-      // 8-byte load into the low half, upper half zero.
-      return {_mm_castpd_ps(_mm_load_sd(reinterpret_cast<const double*>(p)))};
     } else {
-      const __m128 lo =
-          _mm_castpd_ps(_mm_load_sd(reinterpret_cast<const double*>(p)));
-      return {_mm_movelh_ps(lo, _mm_load_ss(p + 2))};
+      // 8-byte load into the low half, upper half zero. p is only
+      // float-aligned, so the two lanes travel through memcpy (one movsd)
+      // rather than a double* dereference.
+      double pair = 0.0;
+      std::memcpy(&pair, p, sizeof(pair));
+      const __m128 lo = _mm_castpd_ps(_mm_set_sd(pair));
+      if constexpr (N == 2) {
+        return {lo};
+      } else {
+        return {_mm_movelh_ps(lo, _mm_load_ss(p + 2))};
+      }
     }
 #else
     vec128f r = vzero();
@@ -149,11 +154,12 @@ inline void vstore_partial(float* p, vec128f a) {
 #elif defined(NDIRECT_SIMD_SSE)
     if constexpr (N == 1) {
       _mm_store_ss(p, a.v);
-    } else if constexpr (N == 2) {
-      _mm_store_sd(reinterpret_cast<double*>(p), _mm_castps_pd(a.v));
     } else {
-      _mm_store_sd(reinterpret_cast<double*>(p), _mm_castps_pd(a.v));
-      _mm_store_ss(p + 2, _mm_movehl_ps(a.v, a.v));
+      // Low two lanes as one 8-byte store, through memcpy because p is
+      // only float-aligned.
+      const double pair = _mm_cvtsd_f64(_mm_castps_pd(a.v));
+      std::memcpy(p, &pair, sizeof(pair));
+      if constexpr (N == 3) _mm_store_ss(p + 2, _mm_movehl_ps(a.v, a.v));
     }
 #else
     std::memcpy(p, a.v, sizeof(float) * N);

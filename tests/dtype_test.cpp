@@ -6,11 +6,11 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "conv_shapes.h"
 #include "core/conv_fp16.h"
-#include "core/quantized.h"
 #include "core/conv_fp64.h"
 #include "core/fp16.h"
 #include "core/fai.h"
@@ -179,13 +179,17 @@ TEST(Fp64Conv, MultiThreadedMatchesSingle) {
                      .R = 3, .S = 3, .str = 1, .pad = 1};
   F64Buffers b = make_f64_case(p, 222);
   std::vector<double> out2(b.out.size());
-  ThreadPool single(1), multi(4);
+  ThreadPool single(1);
   ndirect_conv_fp64(b.input.data(), b.filter.data(), b.out.data(), p,
                     &single);
-  ndirect_conv_fp64(b.input.data(), b.filter.data(), out2.data(), p,
-                    &multi);
-  for (std::size_t i = 0; i < b.out.size(); ++i) {
-    ASSERT_EQ(b.out[i], out2[i]) << i;  // bitwise identical
+  // Ragged worker counts leave exhausted workers stealing tiles.
+  for (const int threads : {2, 3, 4, 7}) {
+    ThreadPool multi(static_cast<std::size_t>(threads));
+    ndirect_conv_fp64(b.input.data(), b.filter.data(), out2.data(), p,
+                      &multi);
+    for (std::size_t i = 0; i < b.out.size(); ++i) {
+      ASSERT_EQ(b.out[i], out2[i]) << threads << " threads, " << i;
+    }
   }
 }
 
@@ -314,94 +318,41 @@ TEST(Fp16Conv, HalvesTheTensorFootprint) {
             sizeof(float) * p.input_elems() / 2);
 }
 
-// ----------------------------------------------------------------------
-// INT16 quantized convolution
-// ----------------------------------------------------------------------
-
-TEST(Int16, QmaxRespectsOverflowContract) {
-  for (std::int64_t len : {1LL, 9LL, 576LL, 4608LL, 100000LL}) {
-    const std::int32_t q = choose_qmax(len);
-    EXPECT_LE(static_cast<std::int64_t>(q) * q * len,
-              (1LL << 31) - 1)
-        << "len=" << len;
-    EXPECT_GE(q, 1);
-    EXPECT_LE(q, 32767);
-  }
-  EXPECT_EQ(choose_qmax(1), 32767);
-}
-
-TEST(Int16, QuantizeDequantizeBoundsError) {
-  std::mt19937_64 rng(31);
-  std::uniform_real_distribution<float> dist(-3.0f, 3.0f);
-  std::vector<float> data(1000);
-  for (float& v : data) v = dist(rng);
-  const std::int32_t qmax = 2048;
-  const QuantizedTensor q = quantize_tensor(data.data(), data.size(), qmax);
-  std::vector<float> back(data.size());
-  dequantize(q, back.data());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    ASSERT_NEAR(back[i], data[i], q.scale * 0.5f + 1e-7f) << i;
-  }
-}
-
-TEST(Int16, ZeroTensorQuantizesSafely) {
-  std::vector<float> zeros(16, 0.0f);
-  const QuantizedTensor q = quantize_tensor(zeros.data(), zeros.size(), 100);
-  for (std::int16_t v : q.values) EXPECT_EQ(v, 0);
-  EXPECT_GT(q.scale, 0.0f);
-}
-
-class Int16Sweep : public ::testing::TestWithParam<ConvParams> {};
-
-TEST_P(Int16Sweep, AccumulatorsMatchInt64ReferenceExactly) {
-  const ConvParams p = GetParam();
-  const std::int32_t qmax = choose_qmax(std::int64_t{p.C} * p.R * p.S);
-  std::mt19937_64 rng(77);
-  std::uniform_int_distribution<std::int32_t> dist(-qmax, qmax);
-  std::vector<std::int16_t> in(static_cast<std::size_t>(p.input_elems()));
-  std::vector<std::int16_t> flt(
-      static_cast<std::size_t>(p.filter_elems()));
-  for (auto& v : in) v = static_cast<std::int16_t>(dist(rng));
-  for (auto& v : flt) v = static_cast<std::int16_t>(dist(rng));
-
-  std::vector<std::int32_t> out(
-      static_cast<std::size_t>(p.output_elems()));
-  std::vector<std::int64_t> ref(out.size());
-  ndirect_conv_int16(in.data(), flt.data(), out.data(), p);
-  naive_conv_int16(in.data(), flt.data(), ref.data(), p);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(static_cast<std::int64_t>(out[i]), ref[i]) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, Int16Sweep,
-                         ::testing::ValuesIn(quick_conv_shapes()));
-
-TEST(Int16, QuantizedPipelineApproximatesFp32) {
-  const ConvParams p{.N = 1, .C = 16, .H = 12, .W = 12, .K = 16,
+TEST(Fp16Conv, OutputIsIndependentOfThreadCount) {
+  // One tile per output row; the ragged 3- and 7-worker seeds leave
+  // exhausted workers stealing rows. Rows are disjoint and carry the
+  // whole reduction, so every pool size must match the single-thread
+  // output bit for bit.
+  const ConvParams p{.N = 2, .C = 12, .H = 13, .W = 17, .K = 20,
                      .R = 3, .S = 3, .str = 1, .pad = 1};
-  Tensor in = make_input_nchw(p.N, p.C, p.H, p.W);
-  Tensor flt = make_filter_kcrs(p.K, p.C, p.R, p.S);
-  fill_random(in, 41);
-  fill_random(flt, 42);
-  const std::vector<float> qout =
-      quantized_conv_fp32(in.data(), flt.data(), p);
-
-  // fp32 reference via the fp64 naive path for a tight target.
-  std::vector<double> din(in.size()), dflt(flt.size());
-  for (std::size_t i = 0; i < in.size(); ++i) din[i] = in[i];
-  for (std::size_t i = 0; i < flt.size(); ++i) dflt[i] = flt[i];
-  std::vector<double> ref(qout.size());
-  naive_conv_fp64(din.data(), dflt.data(), ref.data(), p);
-
-  // Error budget: one quantization step per operand across the
-  // reduction, well under 1% of the typical output magnitude here.
-  double max_err = 0, max_mag = 0;
-  for (std::size_t i = 0; i < qout.size(); ++i) {
-    max_err = std::max(max_err, std::fabs(qout[i] - ref[i]));
-    max_mag = std::max(max_mag, std::fabs(ref[i]));
+  std::vector<fp16_t> in(static_cast<std::size_t>(p.input_elems()));
+  std::vector<fp16_t> flt(static_cast<std::size_t>(p.filter_elems()));
+  std::mt19937_64 rng(56);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (fp16_t& v : in) v = fp32_to_fp16(dist(rng));
+  for (fp16_t& v : flt) v = fp32_to_fp16(dist(rng));
+  std::vector<fp16_t> want(static_cast<std::size_t>(p.output_elems()));
+  ThreadPool single(1);
+  ndirect_conv_fp16(in.data(), flt.data(), want.data(), p, &single);
+  for (const int threads : {2, 3, 7}) {
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<fp16_t> got(want.size());
+      ndirect_conv_fp16(in.data(), flt.data(), got.data(), p, &pool);
+      ASSERT_EQ(got, want) << threads << " threads, rep " << rep;
+    }
   }
-  EXPECT_LT(max_err, 0.02 * max_mag);
+}
+
+TEST(Fp16Conv, InvalidParamsThrow) {
+  ConvParams p{.N = 1, .C = 2, .H = 4, .W = 4, .K = 2, .R = 7, .S = 7,
+               .str = 1, .pad = 0};
+  std::vector<fp16_t> buf(64);
+  EXPECT_THROW(ndirect_conv_fp16(buf.data(), buf.data(), buf.data(), p),
+               std::invalid_argument);
+  std::vector<double> dbuf(64);
+  EXPECT_THROW(ndirect_conv_fp64(dbuf.data(), dbuf.data(), dbuf.data(), p),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // convolution and 3D convolution.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/conv3d.h"
 #include "core/grouped.h"
 #include "core/depthwise.h"
@@ -98,10 +100,14 @@ TEST(Depthwise, MultiThreadedMatchesSingle) {
   Tensor f = make_filter_kcrs(p.C, 1, p.R, p.S);
   fill_random(in, 63);
   fill_random(f, 64);
-  ThreadPool single(1), multi(4);
+  ThreadPool single(1);
   const Tensor a = depthwise_conv_nchw(in, f, p, &single);
-  const Tensor b = depthwise_conv_nchw(in, f, p, &multi);
-  EXPECT_TRUE(allclose(a, b, 0.0, 0.0));
+  // Ragged worker counts leave exhausted workers stealing planes.
+  for (const int threads : {2, 3, 4, 7}) {
+    ThreadPool multi(static_cast<std::size_t>(threads));
+    const Tensor b = depthwise_conv_nchw(in, f, p, &multi);
+    EXPECT_TRUE(allclose(a, b, 0.0, 0.0)) << threads << " threads";
+  }
 }
 
 TEST(SeparableConv, EqualsDepthwiseThenPointwiseReference) {
@@ -293,6 +299,112 @@ TEST(GroupedConv, MalformedGroupsThrow) {
                std::invalid_argument);
   // groups=2 with matching [8, 4, 3, 3] filter is fine.
   EXPECT_NO_THROW((void)grouped_conv_nchw(in, f4, p, 2));
+}
+
+TEST(Depthwise, MalformedInputThrows) {
+  const DepthwiseParams p{.N = 1, .C = 4, .H = 8, .W = 8,
+                          .R = 3, .S = 3, .str = 1, .pad = 1};
+  Tensor in = make_input_nchw(1, 4, 8, 8);
+  Tensor f = make_filter_kcrs(4, 1, 3, 3);
+  in.fill_zero();
+  f.fill_zero();
+  // Input one channel short: the kernel would read past the tensor.
+  Tensor short_in = make_input_nchw(1, 3, 8, 8);
+  short_in.fill_zero();
+  EXPECT_THROW((void)depthwise_conv_nchw(short_in, f, p),
+               std::invalid_argument);
+  // Spatially smaller input than the params claim.
+  Tensor small_in = make_input_nchw(1, 4, 6, 8);
+  small_in.fill_zero();
+  EXPECT_THROW((void)depthwise_conv_nchw(small_in, f, p),
+               std::invalid_argument);
+  // Filter not [C, 1, R, S].
+  Tensor wide_f = make_filter_kcrs(4, 2, 3, 3);
+  wide_f.fill_zero();
+  EXPECT_THROW((void)depthwise_conv_nchw(in, wide_f, p),
+               std::invalid_argument);
+  // Invalid parameters (kernel larger than the padded input).
+  DepthwiseParams bad = p;
+  bad.R = 11;
+  EXPECT_THROW((void)depthwise_conv_nchw(in, f, bad),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)depthwise_conv_nchw(in, f, p));
+}
+
+TEST(SeparableConv, MalformedPointwiseFilterThrows) {
+  const DepthwiseParams dw{.N = 1, .C = 4, .H = 6, .W = 6,
+                           .R = 3, .S = 3, .str = 1, .pad = 1};
+  Tensor in = make_input_nchw(1, 4, 6, 6);
+  Tensor dwf = make_filter_kcrs(4, 1, 3, 3);
+  Tensor pwf = make_filter_kcrs(8, 4, 1, 1);
+  in.fill_zero();
+  dwf.fill_zero();
+  pwf.fill_zero();
+  // K disagrees with the pointwise filter.
+  EXPECT_THROW((void)separable_conv_nchw(in, dwf, pwf, dw, 6),
+               std::invalid_argument);
+  // Pointwise filter with the wrong channel count.
+  Tensor pw_c = make_filter_kcrs(8, 5, 1, 1);
+  pw_c.fill_zero();
+  EXPECT_THROW((void)separable_conv_nchw(in, dwf, pw_c, dw, 8),
+               std::invalid_argument);
+  // Not a 1x1 filter.
+  Tensor pw_3x3 = make_filter_kcrs(8, 4, 3, 3);
+  pw_3x3.fill_zero();
+  EXPECT_THROW((void)separable_conv_nchw(in, dwf, pw_3x3, dw, 8),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)separable_conv_nchw(in, dwf, pwf, dw, 8));
+}
+
+TEST(Conv3d, MalformedShapesThrow) {
+  const Conv3dParams p{.N = 1, .C = 2, .D = 3, .H = 5, .W = 5, .K = 2,
+                       .T = 3, .R = 3, .S = 3, .str = 1, .pad = 1,
+                       .pad_d = 1};
+  Tensor in({1, 2, 3, 5, 5}, Layout::Linear);
+  Tensor f({2, 2, 3, 3, 3}, Layout::Linear);
+  in.fill_zero();
+  f.fill_zero();
+  Tensor short_in({1, 2, 2, 5, 5}, Layout::Linear);
+  short_in.fill_zero();
+  EXPECT_THROW((void)conv3d_ndirect(short_in, f, p),
+               std::invalid_argument);
+  Tensor rank4 = make_input_nchw(1, 2, 5, 5);
+  rank4.fill_zero();
+  EXPECT_THROW((void)conv3d_ndirect(rank4, f, p), std::invalid_argument);
+  Tensor thin_f({2, 2, 1, 3, 3}, Layout::Linear);
+  thin_f.fill_zero();
+  EXPECT_THROW((void)conv3d_ndirect(in, thin_f, p), std::invalid_argument);
+  Conv3dParams bad = p;
+  bad.str = 0;
+  EXPECT_THROW((void)conv3d_ndirect(in, f, bad), std::invalid_argument);
+  EXPECT_NO_THROW((void)conv3d_ndirect(in, f, p));
+}
+
+TEST(GroupedConv, OutputIsIndependentOfThreadCount) {
+  // Enough (image, group) pairs to take the one-tile-per-pair path at
+  // every pool size; the ragged 3- and 7-worker seeds leave exhausted
+  // workers stealing pairs. Pairs write disjoint outputs, so the result
+  // must be bitwise identical to the single-thread run.
+  const ConvParams p{.N = 2, .C = 24, .H = 9, .W = 11, .K = 30,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  const int groups = 6;
+  Tensor in = make_input_nchw(p.N, p.C, p.H, p.W);
+  Tensor f = make_filter_kcrs(p.K, p.C / groups, p.R, p.S);
+  fill_random(in, 207);
+  fill_random(f, 208);
+  ThreadPool single(1);
+  NdirectOptions opts;
+  opts.pool = &single;
+  const Tensor want = grouped_conv_nchw(in, f, p, groups, opts);
+  for (const int threads : {2, 3, 7}) {
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    opts.pool = &pool;
+    for (int rep = 0; rep < 3; ++rep) {
+      const Tensor got = grouped_conv_nchw(in, f, p, groups, opts);
+      ASSERT_TRUE(allclose(got, want, 0.0, 0.0))
+          << threads << " threads, rep " << rep;
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "autotune/tuner.h"
@@ -533,6 +534,72 @@ TEST(Int8Conv, ScalarBackendCountsEveryTileAsFallback) {
   run_raw(p, in, 128, flt, opt, &stats);
   EXPECT_GT(stats.tiles, 0u);
   EXPECT_EQ(stats.generic_fallback, stats.tiles);
+}
+
+TEST(Int8Conv, OutputIsIndependentOfThreadCount) {
+  // One tile per Vw-wide output window, each carrying every K block and
+  // the whole reduction; the ragged 3- and 7-worker seeds leave
+  // exhausted workers stealing windows. Raw int32 and the fused fp32
+  // epilogue must both match the single-thread run bit for bit.
+  const ConvParams p{.N = 2, .C = 10, .H = 13, .W = 19, .K = 20, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 95);
+  const auto flt =
+      random_s8(static_cast<std::size_t>(p.filter_elems()), 96);
+  const auto scale = random_f32(static_cast<std::size_t>(p.K), 97);
+  const auto bias = random_f32(static_cast<std::size_t>(p.K), 98);
+  const auto run_f32 = [&](ThreadPool& pool) {
+    Int8ConvOptions opt;
+    opt.pool = &pool;
+    Int8Epilogue ep;
+    ep.dequant_scale = scale.data();
+    ep.bias = bias.data();
+    ep.relu = true;
+    std::vector<float> out(static_cast<std::size_t>(p.output_elems()));
+    Int8Output dst;
+    dst.f32 = out.data();
+    Int8Conv(p, opt).run(in.data(), 117, flt.data(), ep, dst);
+    return out;
+  };
+  ThreadPool single(1);
+  Int8ConvOptions opt;
+  opt.pool = &single;
+  const auto want_raw = run_raw(p, in, 117, flt, opt);
+  const auto want_f32 = run_f32(single);
+  for (const int threads : {2, 3, 7}) {
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    opt.pool = &pool;
+    for (int rep = 0; rep < 3; ++rep) {
+      ASSERT_EQ(run_raw(p, in, 117, flt, opt), want_raw)
+          << threads << " threads, rep " << rep;
+      ASSERT_EQ(run_f32(pool), want_f32)
+          << threads << " threads, rep " << rep;
+    }
+  }
+}
+
+TEST(Int8Conv, MalformedCallsThrow) {
+  const ConvParams p{.N = 1, .C = 4, .H = 6, .W = 6, .K = 4, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 99);
+  const auto flt =
+      random_s8(static_cast<std::size_t>(p.filter_elems()), 100);
+  std::vector<std::int32_t> raw(static_cast<std::size_t>(p.output_elems()));
+  std::vector<float> f32(raw.size());
+  const Int8Conv conv(p);
+  // No output selected.
+  EXPECT_THROW(conv.run(in.data(), 128, flt.data(), {}, Int8Output{}),
+               std::invalid_argument);
+  // Two outputs selected.
+  Int8Output both;
+  both.i32 = raw.data();
+  both.f32 = f32.data();
+  EXPECT_THROW(conv.run(in.data(), 128, flt.data(), {}, both),
+               std::invalid_argument);
+  // Invalid geometry is rejected at planning time.
+  ConvParams bad = p;
+  bad.str = 0;
+  EXPECT_THROW(Int8Conv{bad}, std::invalid_argument);
 }
 
 TEST(Int8Autotune, SweepsTheRegistryBlocks) {

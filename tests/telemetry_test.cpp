@@ -14,11 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "core/depthwise.h"
 #include "core/ndirect.h"
+#include "core/quantized.h"
 #include "core/report.h"
 #include "nn/graph.h"
+#include "nn/op.h"
 #include "platform/specs.h"
 #include "platform/workloads.h"
+#include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 #include "runtime/trace.h"
 #include "runtime/work_queue.h"
@@ -599,6 +603,127 @@ TEST(EngineTelemetry, ForcedUnregisteredBlockCountsFallbacks) {
   opts.telemetry = &snap;
   (void)ndirect_conv(d.input, d.filter, p, opts);
   EXPECT_GT(snap.total(Counter::kGenericFallback), 0u);
+}
+
+// ----------------------------------------------------------------------
+// The shared execution core: quantized and depthwise engines
+// ----------------------------------------------------------------------
+
+TEST(EngineTelemetry, QuantizedConvOpFillsPerWorkerSnapshot) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  // ConvOp::set_telemetry reaches the int8 engine the same way it
+  // reaches the fp32 one: the sink rides the engine options and the
+  // execution core fills it with one row per worker.
+  const ConvParams p{.N = 2, .C = 8, .H = 14, .W = 14, .K = 12, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  ThreadPool pool(3);
+  ConvOp op(p, ConvBackend::Ndirect, 41, /*bias=*/true);
+  op.set_pool(&pool);
+  op.set_quantized(true);
+  TelemetrySnapshot snap;
+  op.set_telemetry(&snap);
+  const ConvData d = make_data(p, 42);
+  (void)op.forward({&d.input});
+
+  const Int8RunStats& st = op.quantized_stats();
+  ASSERT_EQ(snap.workers.size(), 3u);
+  // One tile per Vw-wide output window (3x3 convs are not flattened).
+  const std::uint64_t windows =
+      static_cast<std::uint64_t>(p.N) * p.P() * ((p.Q() + st.vw - 1) / st.vw);
+  EXPECT_EQ(st.tiles, windows);
+  EXPECT_EQ(snap.total(Counter::kTilesClaimed), st.tiles);
+  EXPECT_EQ(snap.total(Counter::kGenericFallback), st.generic_fallback);
+  EXPECT_GT(snap.phase_seconds(Counter::kMicrokernelNs), 0.0);
+  EXPECT_GT(snap.wall_seconds, 0.0);
+
+  // Detaching the sink stops collection; the old snapshot is kept.
+  op.set_telemetry(nullptr);
+  (void)op.forward({&d.input});
+  EXPECT_EQ(snap.total(Counter::kTilesClaimed), st.tiles);
+}
+
+TEST(EngineTelemetry, ScalarInt8FallbacksReachTheSink) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  const ConvParams p{.N = 1, .C = 4, .H = 6, .W = 6, .K = 4, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  std::vector<std::uint8_t> in(static_cast<std::size_t>(p.input_elems()),
+                               130);
+  std::vector<std::int8_t> flt(static_cast<std::size_t>(p.filter_elems()),
+                               3);
+  std::vector<std::int32_t> out(static_cast<std::size_t>(p.output_elems()));
+  TelemetrySnapshot snap;
+  Int8ConvOptions opt;
+  opt.backend = Int8Backend::kScalar;
+  opt.telemetry = &snap;
+  Int8RunStats st;
+  Int8Output dst;
+  dst.i32 = out.data();
+  Int8Conv(p, opt).run(in.data(), 128, flt.data(), {}, dst, &st);
+  EXPECT_GT(st.generic_fallback, 0u);
+  EXPECT_EQ(st.generic_fallback, st.tiles);
+  EXPECT_EQ(snap.total(Counter::kGenericFallback), st.generic_fallback);
+}
+
+/// Registry total of one re-exported engine counter.
+std::uint64_t published(Counter c) {
+  return MetricsRegistry::global()
+      .counter(std::string("ndirect_engine_") + counter_name(c))
+      ->value();
+}
+
+TEST(EngineTelemetry, UnobservedRunsTakeTheNoCollectPath) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  // A run with no sink, no PhaseTimer and no trace must not collect:
+  // the collecting path always publishes its tile claims to the
+  // metrics registry, so an unchanged registry proves it was skipped.
+  ASSERT_FALSE(trace_on());
+  ThreadPool pool(2);
+  const ConvParams p{.N = 1, .C = 8, .H = 10, .W = 10, .K = 8, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  const ConvData d = make_data(p, 43);
+  ConvOp op(p, ConvBackend::Ndirect, 44, /*bias=*/false);
+  op.set_pool(&pool);
+  op.set_quantized(true);
+  const DepthwiseParams dw{.N = 1, .C = 8, .H = 10, .W = 10, .R = 3,
+                           .S = 3, .str = 1, .pad = 1};
+  Tensor dw_filter = make_filter_kcrs(dw.C, 1, dw.R, dw.S);
+  fill_random(dw_filter, 45);
+
+  const std::uint64_t before = published(Counter::kTilesClaimed);
+  (void)op.forward({&d.input});
+  (void)depthwise_conv_nchw(d.input, dw_filter, dw, &pool);
+  EXPECT_EQ(published(Counter::kTilesClaimed), before);
+
+  // The same int8 run with a sink attached does publish its tiles.
+  TelemetrySnapshot snap;
+  op.set_telemetry(&snap);
+  (void)op.forward({&d.input});
+  EXPECT_EQ(published(Counter::kTilesClaimed),
+            before + op.quantized_stats().tiles);
+}
+
+TEST(EngineTelemetry, TracedDepthwiseRunEmitsTileSpans) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  TraceGuard guard;
+  const DepthwiseParams dw{.N = 2, .C = 6, .H = 9, .W = 9, .R = 3, .S = 3,
+                           .str = 1, .pad = 1};
+  Tensor in = make_input_nchw(dw.N, dw.C, dw.H, dw.W);
+  Tensor f = make_filter_kcrs(dw.C, 1, dw.R, dw.S);
+  fill_random(in, 46);
+  fill_random(f, 47);
+  ThreadPool pool(2);
+  TraceSession& tr = TraceSession::global();
+  tr.start(4096);
+  (void)depthwise_conv_nchw(in, f, dw, &pool);
+  tr.stop();
+  // One run span and one tile span per (n, c) plane.
+  int runs = 0, tiles = 0;
+  for (const TraceEvent& e : tr.events()) {
+    if (std::string(e.name) == "ndirect.run" && e.ph == 'B') ++runs;
+    if (std::string(e.name) == "tile") ++tiles;
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(tiles, dw.N * dw.C);
 }
 
 }  // namespace
