@@ -2,16 +2,12 @@
 //
 // Prints (a) the Eq. 3/4 register blocks the solver derives for each
 // datatype/ISA instance the paper names, and (b) measured host
-// throughput of the FP32 / FP64 / FP16-storage / INT8 convolution
-// paths on a ResNet layer, with correctness deltas against
-// their references.
+// throughput of the FP32 and INT8 convolution engines on a ResNet
+// layer.
 #include <cstdio>
-#include <random>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/conv_fp16.h"
-#include "core/conv_fp64.h"
 #include "core/fai.h"
 #include "core/ndirect.h"
 #include "core/quantized.h"
@@ -86,8 +82,8 @@ int main() {
   const ConvParams p = scale_layer(table4_layer(10, 1).params, cfg);
   std::printf("\n[measured] host, layer 10 scaled to %s:\n",
               p.to_string().c_str());
-  const std::vector<int> w2 = {16, 12, 16};
-  print_row({"datatype", "GFLOPS", "max err vs ref"}, w2);
+  const std::vector<int> w2 = {16, 12};
+  print_row({"datatype", "GFLOPS"}, w2);
   const double flops = static_cast<double>(p.flops());
 
   // FP32 (the paper's engine).
@@ -99,43 +95,8 @@ int main() {
     const NdirectConv conv(p, {.threads = cfg.threads});
     const double g = time_gflops([&] { (void)conv.run(in, flt); }, flops,
                                  cfg.min_seconds);
-    print_row({"FP32", fmt(g, 2), "-"}, w2);
+    print_row({"FP32", fmt(g, 2)}, w2);
     report.add("layer10.fp32_gflops", g);
-  }
-
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-
-  // FP64.
-  {
-    std::vector<double> in(static_cast<std::size_t>(p.input_elems()));
-    std::vector<double> flt(static_cast<std::size_t>(p.filter_elems()));
-    std::vector<double> out(static_cast<std::size_t>(p.output_elems()));
-    std::vector<double> ref(out.size());
-    for (double& v : in) v = dist(rng);
-    for (double& v : flt) v = dist(rng);
-    const double g = time_gflops(
-        [&] { ndirect_conv_fp64(in.data(), flt.data(), out.data(), p); },
-        flops, cfg.min_seconds);
-    naive_conv_fp64(in.data(), flt.data(), ref.data(), p);
-    double err = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      err = std::max(err, std::fabs(out[i] - ref[i]));
-    }
-    print_row({"FP64", fmt(g, 2), fmt(err, 12)}, w2);
-  }
-
-  // FP16 storage / FP32 compute.
-  {
-    std::vector<fp16_t> in(static_cast<std::size_t>(p.input_elems()));
-    std::vector<fp16_t> flt(static_cast<std::size_t>(p.filter_elems()));
-    std::vector<fp16_t> out(static_cast<std::size_t>(p.output_elems()));
-    for (fp16_t& v : in) v = fp32_to_fp16(static_cast<float>(dist(rng)));
-    for (fp16_t& v : flt) v = fp32_to_fp16(static_cast<float>(dist(rng)));
-    const double g = time_gflops(
-        [&] { ndirect_conv_fp16(in.data(), flt.data(), out.data(), p); },
-        flops, cfg.min_seconds);
-    print_row({"FP16 storage", fmt(g, 2), "(~1e-2 rel, see tests)"}, w2);
   }
 
   // INT8 on the same layer, for the single-layer dtype ladder.
@@ -145,13 +106,10 @@ int main() {
     print_row({"INT8 (" +
                    std::string(int8_backend_name(int8_preferred_backend())) +
                    ")",
-               fmt(g, 2), "exact int32 (see tests)"},
+               fmt(g, 2)},
               w2);
     report.add("layer10.int8_gflops", g);
   }
-  std::printf(
-      "\n(FP64/FP16 run clarity-first generic kernels; FP32 and "
-      "INT8 carry the unrolled policy-registry forms.)\n");
 
   // Section 14: the int8 path on the bandwidth-bound Table 4 layers
   // (late 1x1 convolutions — low arithmetic intensity, where the 4x

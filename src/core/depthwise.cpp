@@ -151,24 +151,4 @@ Tensor depthwise_conv_reference(const Tensor& input, const Tensor& filter,
   return out;
 }
 
-Tensor separable_conv_nchw(const Tensor& input, const Tensor& dw_filter,
-                           const Tensor& pw_filter,
-                           const DepthwiseParams& dw, int K,
-                           ThreadPool* pool) {
-  if (K < 1 || pw_filter.layout() != Layout::KCRS || pw_filter.rank() != 4 ||
-      pw_filter.dim(0) != K || pw_filter.dim(1) != dw.C ||
-      pw_filter.dim(2) != 1 || pw_filter.dim(3) != 1) {
-    throw std::invalid_argument("separable_conv: pointwise filter must be "
-                                "[K,C,1,1], got " +
-                                pw_filter.shape_string());
-  }
-  const Tensor mid = depthwise_conv_nchw(input, dw_filter, dw, pool);
-  // Pointwise = 1x1 nDirect convolution on the depthwise output.
-  const ConvParams pw{.N = dw.N, .C = dw.C, .H = dw.P(), .W = dw.Q(),
-                      .K = K, .R = 1, .S = 1, .str = 1, .pad = 0};
-  NdirectOptions opts;
-  opts.pool = pool;
-  return ndirect_conv(mid, pw_filter, pw, opts);
-}
-
 }  // namespace ndirect

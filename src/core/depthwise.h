@@ -1,17 +1,16 @@
-// Depthwise and depthwise-separable convolution (Section 10.2).
+// Depthwise convolution (Section 10.2).
 //
 // The paper sketches the integration: pointwise convolution is the 1x1
 // kernel nDirect already handles ("it can be seen as the 1x1
 // convolution kernel with vectorizable dimension K"), and depthwise
 // convolution "only needs removing the reduction operations of
-// dimension C in micro-kernels". This module implements exactly that:
-// a register-blocked depthwise kernel that accumulates over (r, s) only
-// — each channel convolves independently — plus the fused
-// depthwise+pointwise pair that forms the MobileNet/Xception building
-// block.
+// dimension C in micro-kernels". This module implements the depthwise
+// half: a register-blocked kernel that accumulates over (r, s) only —
+// each channel convolves independently. A MobileNet/Xception
+// depthwise-separable block is this kernel followed by a 1x1 NdirectConv
+// (nn::DepthwiseConvOp + nn::ConvOp).
 #pragma once
 
-#include "core/ndirect.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
@@ -45,13 +44,5 @@ Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
 /// Reference implementation (double accumulation) for tests.
 Tensor depthwise_conv_reference(const Tensor& input, const Tensor& filter,
                                 const DepthwiseParams& p);
-
-/// Depthwise-separable block: depthwise (dw_filter [C,1,R,S]) followed
-/// by pointwise (pw_filter [K,C,1,1], executed by NdirectConv).
-/// Returns [N,K,P,Q]. Throws std::invalid_argument on mismatched shapes.
-Tensor separable_conv_nchw(const Tensor& input, const Tensor& dw_filter,
-                           const Tensor& pw_filter,
-                           const DepthwiseParams& dw, int K,
-                           ThreadPool* pool = nullptr);
 
 }  // namespace ndirect

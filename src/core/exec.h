@@ -2,8 +2,8 @@
 //
 // Section 6 of the paper gives one loop nest and one PTn x PTk thread
 // mapping for a direct convolution. run_tiles() is the scheduling half
-// of that loop nest, shared by the fp32, int8, depthwise, grouped, fp16
-// and fp64 engines. The driver owns everything except the arithmetic:
+// of that loop nest, shared by the fp32 direct, int8 and depthwise
+// engines. The driver owns everything except the arithmetic:
 //   * pool selection and dispatch;
 //   * the TileScheduler over the engine's rows x cols tile grid, seeded
 //     from a PTn x PTk mapping, plus pure-stealer workers;

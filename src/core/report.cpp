@@ -5,6 +5,7 @@
 
 #include "core/microkernel.h"
 #include "core/threading.h"
+#include "runtime/json.h"
 
 namespace ndirect {
 namespace {
@@ -287,8 +288,8 @@ std::string ConvReport::to_text() const {
 
 std::string ConvReport::to_json() const {
   std::string s = "{";
-  s += "\"platform\": \"" + platform + "\"";
-  s += ", \"conv\": \"" + params.to_string() + "\"";
+  s += "\"platform\": \"" + json_escape(platform) + "\"";
+  s += ", \"conv\": \"" + json_escape(params.to_string()) + "\"";
   s += ", \"ptn\": " + std::to_string(mapping.ptn);
   s += ", \"ptk\": " + std::to_string(mapping.ptk);
   s += ", \"stealers\": " + std::to_string(stealers);
@@ -304,8 +305,8 @@ std::string ConvReport::to_json() const {
   s += ", \"best_fai\": " + fmt_json(best_fai);
   s += ", \"ptn_star\": " + fmt_json(ptn_star);
   s += ", \"dtype\": \"" + std::string(conv_dtype_name(dtype)) + "\"";
-  s += ", \"kernel_class\": \"" + kernel_class + "\"";
-  s += ", \"kernel_reason\": \"" + kernel_reason + "\"";
+  s += ", \"kernel_class\": \"" + json_escape(kernel_class) + "\"";
+  s += ", \"kernel_reason\": \"" + json_escape(kernel_reason) + "\"";
   s += ", \"generic_fallback\": " + std::to_string(generic_fallback);
   s += ", \"tiles\": " + std::to_string(tiles);
   s += ", \"steals\": " + std::to_string(steals);
@@ -343,12 +344,7 @@ std::string ConvReport::to_json() const {
   s += "], \"diagnoses\": [";
   for (std::size_t i = 0; i < diagnoses.size(); ++i) {
     if (i > 0) s += ", ";
-    std::string esc;
-    for (char c : diagnoses[i]) {
-      if (c == '"' || c == '\\') esc += '\\';
-      esc += c;
-    }
-    s += "\"" + esc + "\"";
+    s += "\"" + json_escape(diagnoses[i]) + "\"";
   }
   s += "]}";
   return s;

@@ -40,8 +40,8 @@ namespace ndirect {
 enum class ScratchSlot : int {
   kPack = 0,     ///< packed input window ([tc][R][packw] + vector slack)
   kFilterTile,   ///< on-the-fly transformed filter tile
-  kAux0,         ///< free for other engines (fp16/grouped/depthwise)
-  kAux1,
+  kAux0,         ///< int8: packed input window
+  kAux1,         ///< int8: int32 accumulator tile
 };
 
 inline constexpr int kScratchSlotCount = 4;

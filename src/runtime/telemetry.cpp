@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "runtime/env.h"
+#include "runtime/json.h"
 #include "runtime/metrics.h"
 
 namespace ndirect {
@@ -20,28 +21,6 @@ std::string fmt_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
-}
-
-/// JSON string escaping for every string field the snapshot emits:
-/// quote/backslash get escaped, control bytes become \u00XX (a bare
-/// control byte makes strict parsers reject the document).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 std::string json_string(const std::string& s) {
@@ -69,10 +48,6 @@ const char* counter_name(Counter c) {
     case Counter::kPmuStalledCycles: return "pmu_stalled_cycles";
     case Counter::kPmuPackL1DMisses: return "pmu_pack_l1d_misses";
     case Counter::kPmuMicroL1DMisses: return "pmu_micro_l1d_misses";
-    case Counter::kServeAdmitted: return "serve_admitted";
-    case Counter::kServeShedArrival: return "serve_shed_arrival";
-    case Counter::kServeShedQueue: return "serve_shed_queue";
-    case Counter::kServeBatches: return "serve_batches";
   }
   return "unknown";
 }

@@ -61,18 +61,8 @@ enum class Counter : int {
   // pack, filter transform) so "is packing hidden?" is measurable.
   kPmuPackL1DMisses,   ///< L1D misses inside pack_window calls
   kPmuMicroL1DMisses,  ///< L1D misses in the compute/fused remainder
-  // Serving-layer events (serve/server.h). The server's registry uses
-  // slot 0 for the admission (submit) side — written by arbitrary
-  // caller threads, which relaxed fetch_add tolerates — and slots
-  // 1..E for its executor lanes.
-  kServeAdmitted,      ///< requests accepted into the request queue
-  kServeShedArrival,   ///< requests rejected at admission (predicted
-                       ///< deadline miss or stopped server)
-  kServeShedQueue,     ///< requests shed while queued (deadline
-                       ///< expired / non-drain shutdown)
-  kServeBatches,       ///< coalesced batches launched
 };
-inline constexpr int kCounterCount = 21;
+inline constexpr int kCounterCount = 17;
 
 /// Stable snake_case name used in JSON exports and reports.
 const char* counter_name(Counter c);

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "runtime/env.h"
+#include "runtime/json.h"
 #include "runtime/shutdown.h"
 #include "runtime/telemetry.h"
 
@@ -32,17 +33,6 @@ std::mutex& lane_mutex() {
 std::vector<std::string>& lane_names_locked() {
   static std::vector<std::string>* names = new std::vector<std::string>;
   return *names;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    if (static_cast<unsigned char>(ch) < 0x20) continue;
-    out += ch;
-  }
-  return out;
 }
 
 // Remove span events orphaned by a session edge. A session started

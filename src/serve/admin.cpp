@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "runtime/env.h"
+#include "runtime/json.h"
 #include "runtime/metrics.h"
 #include "runtime/shutdown.h"
 #include "runtime/trace.h"

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 
+#include "runtime/json.h"
+
 namespace ndirect::serve {
 
 namespace {
@@ -20,25 +22,6 @@ std::string fmt3(double v) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string slo_window_json(const SloWindowStats& w) {
   return "{\"window_s\": " + std::to_string(w.window_s) +

@@ -79,8 +79,4 @@ ServeReport build_serve_report(const Server& server);
 /// surfaces expose identical window documents.
 std::string slo_window_json(const SloWindowStats& w);
 
-/// JSON string escaping (quote/backslash escaped, control bytes to
-/// \u00XX) for diagnosis strings and server names.
-std::string json_escape(const std::string& s);
-
 }  // namespace ndirect::serve

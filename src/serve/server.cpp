@@ -10,6 +10,7 @@
 
 #include "runtime/metrics.h"
 #include "runtime/shutdown.h"
+#include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "runtime/trace.h"
 #include "serve/admin.h"
@@ -57,7 +58,6 @@ Server::Server(GraphFactory factory, ServerOptions options)
       model_(options_.model),
       pool_(options_.pool != nullptr ? options_.pool
                                      : &ThreadPool::global()),
-      telemetry_(options_.executors + 1),
       slo_mon_(options_.slo) {
   if (!factory_)
     throw std::invalid_argument("serve::Server: null GraphFactory");
@@ -154,8 +154,7 @@ std::future<ServeResult> Server::submit(Tensor input,
     if (stopping_) {
       ++stats_.shed_shutdown;
       lk.unlock();
-      shed(std::move(r), ShedReason::kShutdown, 0,
-           Counter::kServeShedArrival);
+      shed(std::move(r), ShedReason::kShutdown);
       return fut;
     }
     if (options_.admission_control &&
@@ -163,19 +162,16 @@ std::future<ServeResult> Server::submit(Tensor input,
                options_.max_batch, options_.executors, *model_)) {
       ++stats_.shed_admission;
       lk.unlock();
-      shed(std::move(r), ShedReason::kAdmission, 0,
-           Counter::kServeShedArrival);
+      shed(std::move(r), ShedReason::kAdmission);
       return fut;
     }
     ++stats_.admitted;
     queue_.push(std::move(r));
-    stats_.queued = queue_.size();
     if (obs_) {
       obs_->admitted->inc();
       obs_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
     }
   }
-  telemetry_.add(0, Counter::kServeAdmitted, 1);
   if (trace_on()) TraceSession::global().instant("serve_enqueue");
   queue_.cv().notify_all();
   return fut;
@@ -196,14 +192,12 @@ void Server::executor_loop(int lane) {
           queue_.take_expired(now, model_->predict_ns(1));
       if (!expired.empty()) {
         stats_.shed_expired += expired.size();
-        stats_.queued = queue_.size();
         if (obs_)
           obs_->queue_depth->set(
               static_cast<std::int64_t>(queue_.size()));
         lk.unlock();
         for (Request& r : expired)
-          shed(std::move(r), ShedReason::kDeadlineExpired, lane + 1,
-               Counter::kServeShedQueue);
+          shed(std::move(r), ShedReason::kDeadlineExpired);
         lk.lock();
         continue;
       }
@@ -239,18 +233,17 @@ void Server::executor_loop(int lane) {
     std::vector<Request> batch = queue_.pop_front(plan.size);
     busy_until_[static_cast<std::size_t>(lane)] =
         saturating_add(now, plan.predicted_ns);
-    stats_.queued = queue_.size();
     if (obs_)
       obs_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
     lk.unlock();
-    run_batch(lane, std::move(batch), plan, now);
+    run_batch(std::move(batch), plan, now);
     lk.lock();
     busy_until_[static_cast<std::size_t>(lane)] = 0;
   }
 }
 
-void Server::run_batch(int lane, std::vector<Request> batch,
-                       const BatchPlan& plan, std::uint64_t launch_ns) {
+void Server::run_batch(std::vector<Request> batch, const BatchPlan& plan,
+                       std::uint64_t launch_ns) {
   const int k = static_cast<int>(batch.size());
   const TensorShape& s = input_shape_;
   const std::size_t per_in =
@@ -304,7 +297,6 @@ void Server::run_batch(int lane, std::vector<Request> batch,
   release_graph(k, std::move(graph));
 
   if (options_.calibrate) model_->observe(k, measured);
-  telemetry_.add(lane + 1, Counter::kServeBatches, 1);
   if (obs_) {
     obs_->batches->inc();
     obs_->execute_ns->record(measured);
@@ -406,8 +398,7 @@ void Server::run_batch(int lane, std::vector<Request> batch,
   }
 }
 
-void Server::shed(Request r, ShedReason reason, int slot, Counter c) {
-  telemetry_.add(slot, c, 1);
+void Server::shed(Request r, ShedReason reason) {
   slo_mon_.record_shed(clock_->now_ns(), reason);
   if (obs_) obs_->shed[static_cast<int>(reason)]->inc();
   if (trace_on()) TraceSession::global().instant("serve_shed");
@@ -475,13 +466,11 @@ void Server::shutdown(bool drain) {
     if (!drain) {
       dropped = queue_.drain();
       stats_.shed_shutdown += dropped.size();
-      stats_.queued = 0;
     }
   }
   queue_.cv().notify_all();
   for (Request& r : dropped)
-    shed(std::move(r), ShedReason::kShutdown, 0,
-         Counter::kServeShedQueue);
+    shed(std::move(r), ShedReason::kShutdown);
   std::lock_guard<std::mutex> g(join_mu_);
   for (std::thread& t : lanes_)
     if (t.joinable()) t.join();

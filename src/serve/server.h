@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "nn/graph.h"
-#include "runtime/telemetry.h"
 #include "serve/batching.h"
 #include "serve/clock.h"
 #include "serve/latency_model.h"
@@ -153,10 +152,6 @@ class Server {
 
   ServerStatsSnapshot stats() const;
 
-  /// Serve-event counters (Counter::kServe*): slot 0 = admission side,
-  /// slots 1..executors = batch lanes. Aggregate with telemetry().total.
-  const WorkerTelemetry& telemetry() const { return telemetry_; }
-
   /// (batch size, predicted ns, measured ns) of every launched batch,
   /// in launch order — the raw data behind the ServeReport.
   struct BatchRecord {
@@ -202,12 +197,11 @@ class Server {
 
  private:
   void executor_loop(int lane);
-  void run_batch(int lane, std::vector<Request> batch,
-                 const BatchPlan& plan, std::uint64_t launch_ns);
-  /// Resolve `r` with a ShedError, emit the trace instant and bump
-  /// counter `c` on telemetry slot `slot` (0 = admission side,
-  /// lane + 1 for executor lanes). Call without the queue lock held.
-  void shed(Request r, ShedReason reason, int slot, Counter c);
+  void run_batch(std::vector<Request> batch, const BatchPlan& plan,
+                 std::uint64_t launch_ns);
+  /// Resolve `r` with a ShedError and emit the trace instant. Call
+  /// without the queue lock held.
+  void shed(Request r, ShedReason reason);
   std::unique_ptr<Graph> acquire_graph(int batch);
   void release_graph(int batch, std::unique_ptr<Graph> g);
   std::uint64_t earliest_free_at() const;  ///< requires queue lock
@@ -233,7 +227,6 @@ class Server {
   std::map<int, std::vector<std::unique_ptr<Graph>>> free_graphs_;
 
   std::atomic<ServeState> state_{ServeState::kWarming};
-  WorkerTelemetry telemetry_;
   std::unique_ptr<ServeInstruments> obs_;  ///< null when !observe
   SloMonitor slo_mon_;
   std::atomic<std::uint64_t> graph_builds_{0};  ///< cold factory calls

@@ -366,89 +366,6 @@ inline void vprefetch(const void* p) {
 #endif
 }
 
-// ---------------------------------------------------------------------------
-// FP64: 128-bit vector of 2 doubles (the Section 3.3 datatype extension).
-// ---------------------------------------------------------------------------
-
-inline constexpr int kVecLanesF64 = 2;
-
-struct vec128d {
-#if defined(NDIRECT_SIMD_NEON)
-  float64x2_t v;
-#elif defined(NDIRECT_SIMD_SSE)
-  __m128d v;
-#else
-  double v[2];
-#endif
-};
-
-inline vec128d vzero_f64() {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vdupq_n_f64(0.0)};
-#elif defined(NDIRECT_SIMD_SSE)
-  return {_mm_setzero_pd()};
-#else
-  return {{0.0, 0.0}};
-#endif
-}
-
-inline vec128d vdup_f64(double x) {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vdupq_n_f64(x)};
-#elif defined(NDIRECT_SIMD_SSE)
-  return {_mm_set1_pd(x)};
-#else
-  return {{x, x}};
-#endif
-}
-
-inline vec128d vload_f64(const double* p) {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vld1q_f64(p)};
-#elif defined(NDIRECT_SIMD_SSE)
-  return {_mm_loadu_pd(p)};
-#else
-  vec128d r;
-  std::memcpy(r.v, p, sizeof(r.v));
-  return r;
-#endif
-}
-
-inline void vstore_f64(double* p, vec128d a) {
-#if defined(NDIRECT_SIMD_NEON)
-  vst1q_f64(p, a.v);
-#elif defined(NDIRECT_SIMD_SSE)
-  _mm_storeu_pd(p, a.v);
-#else
-  std::memcpy(p, a.v, sizeof(a.v));
-#endif
-}
-
-inline vec128d vadd_f64(vec128d a, vec128d b) {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vaddq_f64(a.v, b.v)};
-#elif defined(NDIRECT_SIMD_SSE)
-  return {_mm_add_pd(a.v, b.v)};
-#else
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
-#endif
-}
-
-/// acc + a*b for doubles (fused where the ISA provides it).
-inline vec128d vfma_f64(vec128d acc, vec128d a, vec128d b) {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vfmaq_f64(acc.v, a.v, b.v)};
-#elif defined(NDIRECT_SIMD_SSE)
-#if defined(__FMA__)
-  return {_mm_fmadd_pd(a.v, b.v, acc.v)};
-#else
-  return {_mm_add_pd(acc.v, _mm_mul_pd(a.v, b.v))};
-#endif
-#else
-  return {{acc.v[0] + a.v[0] * b.v[0], acc.v[1] + a.v[1] * b.v[1]}};
-#endif
-}
-
 /// Name of the active backend, for logging/bench headers.
 inline const char* simd_backend_name() {
 #if defined(NDIRECT_SIMD_NEON)

@@ -559,8 +559,7 @@ TEST(ServerTest, ShedsOnArrivalWhenModelPredictsMiss) {
   const ServerStatsSnapshot s = h.server.stats();
   EXPECT_EQ(s.shed_admission, 1u);
   EXPECT_EQ(s.admitted, 0u);
-  EXPECT_EQ(
-      h.server.telemetry().total(Counter::kServeShedArrival), 1u);
+  EXPECT_EQ(s.shed_total(), 1u);
   expect_conserved(s);
 }
 
@@ -573,7 +572,8 @@ TEST(ServerTest, AdmissionControlOffShedsInQueueInstead) {
   const ServerStatsSnapshot s = h.server.stats();
   EXPECT_EQ(s.admitted, 1u);
   EXPECT_EQ(s.shed_expired, 1u);
-  EXPECT_EQ(h.server.telemetry().total(Counter::kServeShedQueue), 1u);
+  EXPECT_EQ(s.shed_total(), 1u);
+  EXPECT_EQ(s.queued, 0u);
   expect_conserved(s);
 }
 
@@ -692,7 +692,10 @@ TEST(ServerTest, RejectsMalformedInputShapes) {
 }
 
 TEST(ServerTest, TelemetryCountersMirrorStats) {
+  // A server name no other test uses, so its registry cells hold this
+  // server's counts alone.
   ServerOptions opts;
+  opts.name = "counters-mirror-stats";
   opts.max_batch = 2;
   Harness h(opts);
   std::vector<std::future<ServeResult>> futs;
@@ -704,12 +707,14 @@ TEST(ServerTest, TelemetryCountersMirrorStats) {
   EXPECT_EQ(shed_reason_of(rejected), ShedReason::kAdmission);
 
   const ServerStatsSnapshot s = h.server.stats();
-  const WorkerTelemetry& t = h.server.telemetry();
-  EXPECT_EQ(t.total(Counter::kServeAdmitted), s.admitted);
-  EXPECT_EQ(t.total(Counter::kServeShedArrival), s.shed_admission);
-  EXPECT_EQ(t.total(Counter::kServeBatches), s.batches);
-  EXPECT_EQ(t.value(0, Counter::kServeAdmitted), s.admitted)
-      << "admission events belong to slot 0";
+  EXPECT_EQ(s.admitted, 2u);
+  EXPECT_EQ(s.shed_admission, 1u);
+  const ServeInstruments* obs = h.server.instruments();
+  ASSERT_NE(obs, nullptr);
+  EXPECT_EQ(obs->admitted->value(), s.admitted);
+  EXPECT_EQ(obs->shed[static_cast<int>(ShedReason::kAdmission)]->value(),
+            s.shed_admission);
+  EXPECT_EQ(obs->batches->value(), s.batches);
   expect_conserved(s);
 }
 

@@ -396,6 +396,17 @@ TEST(Trace, JsonIsChromeTraceShaped) {
   EXPECT_NE(j.find("\"ph\": \"M\""), std::string::npos);
 }
 
+TEST(Trace, ControlBytesInNamesExportEscaped) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  TraceGuard guard;
+  TraceSession& tr = TraceSession::global();
+  tr.start(16);
+  tr.instant("ctl\x01name");
+  tr.stop();
+  const std::string j = tr.json();
+  EXPECT_NE(j.find("\"ctl\\u0001name\""), std::string::npos) << j;
+}
+
 TEST(Trace, FullRingCountsDropsInsteadOfBlocking) {
   if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TraceGuard guard;
@@ -558,6 +569,29 @@ TEST(ConvReportTest, JoinsMeasuredAndPredicted) {
   EXPECT_NE(j.find("\"measured_gflops\""), std::string::npos);
   EXPECT_NE(j.find("\"predicted_gflops\""), std::string::npos);
   EXPECT_NE(j.find("\"per_worker\""), std::string::npos);
+}
+
+TEST(ConvReportTest, JsonRoundTripsHostileStrings) {
+  // The platform name comes from the host (/proc/cpuinfo); it and the
+  // kernel strings must reach the document escaped, or a quote,
+  // backslash or newline in them breaks every consumer of the report.
+  if (std::system("python3 -c pass > /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "python3 not available";
+  ConvReport report;
+  report.platform = "vendor \"x\" \\ model\nrev 2";
+  report.kernel_class = "generic\t";
+  report.kernel_reason = "block \"13x7\"\r\n";
+  report.diagnoses.push_back("line one\nline \"two\"\x01");
+  const std::string path = testing::TempDir() + "conv_report_escape.json";
+  {
+    std::ofstream out(path);
+    out << report.to_json();
+  }
+  const std::string cmd =
+      "python3 -m json.tool " + path + " > /dev/null 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0)
+      << "json.tool rejected the ConvReport document: "
+      << report.to_json();
 }
 
 // ----------------------------------------------------------------------
