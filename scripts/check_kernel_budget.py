@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Gate the micro-kernel policy registry's compile-time budget.
+"""Gate the micro-kernel policy registry's compile-time budget and codegen.
 
 The registry generates every Eq. 3-feasible kernel from templates, so a
 careless change (a new policy axis, an accidental O(grid^2) fold, an
 instantiation that defeats the per-S translation-unit split) shows up
-first as compile time. This script fails CI when either
+first as compile time. This script fails CI when
 
-  1. any microkernel_policies_s*.cpp takes longer than --max-seconds to
-     compile stand-alone (each TU holds one kernel width's ~56
-     instantiations; the budget is several times the measured ~15 s so
-     only real blow-ups trip it), or
-  2. the built registry shrinks below --min-entries kernel entries or
+  1. any policy TU (microkernel_policies_s*.cpp, quantized_policies_*.cpp)
+     takes longer than --max-seconds to compile stand-alone (each fp32 TU
+     holds one kernel width's ~56 instantiations; the budget is several
+     times the measured ~15 s so only real blow-ups trip it), or
+  2. a policy object, read back with objdump, defines any local function
+     or has a policy_*_kernel that calls anything but memcpy/memset. An
+     outlined helper (GCC's local constprop clone of a tap-loop lambda,
+     say) keeps the accumulator tile in memory and spills every FMA, so
+     a kernel must compile to one flat body, or
+  3. the built registry shrinks below --min-entries kernel entries or
      --min-blocks runtime (vw, vk) blocks — i.e. a refactor silently
      dropped specializations and convs would fall back to the generic
      kernel.
@@ -24,10 +29,12 @@ Usage:
                          [--max-seconds 90] [--min-entries 216]
                          [--min-blocks 14] [--cxx g++]
                          [--flags "-O3 -march=native -std=c++20"]
+                         [--objdump objdump]
 """
 import argparse
 import glob
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +51,69 @@ int main() {
 }
 """
 
+# Callees a policy kernel may reach: the fused kernels' pack_row copies
+# and zero-fills input rows.
+ALLOWED_CALLEES = {"memcpy", "memset"}
+KERNEL_RE = re.compile(r"policy_\w*kernel<")
+FUNC_RE = re.compile(r"^[0-9a-f]+ <(.*)>:$")
+BRANCH_RE = re.compile(r"\s(call|callq|jmp|jmpq|bl|blr|b)\s+(.*)$")
+# A call's relocation: "memcpy-0x4" for an external callee, ".text+0xafc"
+# for a local function in the same object.
+RELOC_RE = re.compile(r"R_(?:X86_64_PLT32|X86_64_PC32|AARCH64_CALL26|"
+                      r"AARCH64_JUMP26)\s+(\S+?)(?:-0x[0-9a-f]+)?$")
+
+
+def codegen_problems(obj, objdump):
+    """Local functions in `obj`, and calls out of its policy kernels."""
+    problems = []
+    r = subprocess.run(["nm", "-C", "--defined-only", obj],
+                       capture_output=True, text=True)
+    if r.returncode != 0:
+        return [f"nm failed: {r.stderr.strip()}"]
+    for line in r.stdout.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[1] == "t":
+            problems.append(f"defines local function {parts[2][:160]}")
+    r = subprocess.run([objdump, "-d", "-r", "-C", "--no-show-raw-insn", obj],
+                       capture_output=True, text=True)
+    if r.returncode != 0:
+        return problems + [f"objdump failed: {r.stderr.strip()}"]
+    # A relocated branch (a call, or a tail-call jump) names its target
+    # on the relocation line after it; an unrelocated call (a same-
+    # section local function) names it on its own line.
+    func, callees, branch, pending = None, {}, False, None
+    for line in r.stdout.splitlines():
+        m = RELOC_RE.search(line)
+        if m:
+            if branch:
+                callees.setdefault(func, set()).add(m.group(1))
+            branch, pending = False, None
+            continue
+        if pending is not None:
+            callees.setdefault(func, set()).add(pending)
+        branch, pending = False, None
+        m = FUNC_RE.match(line)
+        if m:
+            func = m.group(1)
+            continue
+        if func is None or not KERNEL_RE.search(func):
+            continue
+        m = BRANCH_RE.search(line)
+        if m:
+            branch = True
+            op, target = m.group(1), m.group(2)
+            if op in ("call", "callq", "bl", "blr"):
+                pending = ("<indirect>" if target.startswith("*") or
+                           op == "blr" else
+                           target.split("<", 1)[-1].rstrip(">"))
+    if pending is not None:
+        callees.setdefault(func, set()).add(pending)
+    for func, names in sorted(callees.items()):
+        bad = sorted(n for n in names if n not in ALLOWED_CALLEES)
+        if bad:
+            problems.append(f"{func[:120]} calls {', '.join(bad)[:200]}")
+    return problems
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -55,19 +125,21 @@ def main():
     ap.add_argument("--min-blocks", type=int, default=14)
     ap.add_argument("--cxx", default=os.environ.get("CXX", "g++"))
     ap.add_argument("--flags", default="-O3 -march=native -std=c++20")
+    ap.add_argument("--objdump", default="objdump")
     args = ap.parse_args()
 
     src = os.path.abspath(args.source)
     build = os.path.abspath(args.build)
-    tus = sorted(
-        glob.glob(os.path.join(src, "src/core/microkernel_policies_s*.cpp")))
+    core_dir = os.path.join(src, "src/core")
+    tus = sorted(glob.glob(os.path.join(core_dir, "microkernel_policies_s*.cpp"))
+                 + glob.glob(os.path.join(core_dir, "quantized_policies_*.cpp")))
     if not tus:
         print("check_kernel_budget: no policy TUs found under", src)
         return 1
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        # 1. Per-TU compile-time budget.
+        # 1. Per-TU compile-time budget; 2. codegen of each object.
         for tu in tus:
             out = os.path.join(tmp, os.path.basename(tu) + ".o")
             cmd = [args.cxx, *args.flags.split(), "-DNDEBUG",
@@ -86,8 +158,12 @@ def main():
                 failures.append(
                     f"{os.path.basename(tu)}: {dt:.1f}s exceeds the "
                     f"{args.max_seconds:.0f}s budget")
+            problems = codegen_problems(out, args.objdump)
+            print(f"  {'':34s} codegen: "
+                  f"{'ok' if not problems else f'{len(problems)} problems'}")
+            failures += [f"{os.path.basename(tu)}: {p}" for p in problems]
 
-        # 2. Registry completeness, probed from the built core library.
+        # 3. Registry completeness, probed from the built core library.
         core = os.path.join(build, "src/core/libndirect_core.a")
         runtime = os.path.join(build, "src/runtime/libndirect_runtime.a")
         if not os.path.exists(core):
@@ -126,7 +202,8 @@ def main():
             print("  -", f)
         return 1
     print("check_kernel_budget: OK "
-          f"({len(tus)} TUs within {args.max_seconds:.0f}s each)")
+          f"({len(tus)} TUs within {args.max_seconds:.0f}s each, "
+          "no outlined kernel code)")
     return 0
 
 

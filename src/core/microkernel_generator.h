@@ -2,9 +2,10 @@
 //
 // A *policy* is the compile-time tuple (Vw, Vkv, S, stride, tail-mode).
 // policy_compute_kernel / policy_fused_kernel expand the fully-unrolled
-// Algorithm 3 body for one policy — the input window preloaded into
-// ceil(packw/4) vector registers, every (w, s) tap a lane-indexed FMA —
-// and finish with either the branch-free interior store or the masked
+// Algorithm 3 body for one policy — every (w, s) tap one broadcast FMA
+// into the register-resident Vw x Vk accumulator tile, in the tap order
+// the target's register budget allows (input_stationary_taps) — and
+// finish with either the branch-free interior store or the masked
 // partial-lane edge store. build_policy_table<S>() folds over the whole
 // (Vw, Vk) grid at compile time, keeping exactly the blocks that satisfy
 // the Eq. 3 register budget, and emits a constexpr KernelEntry table.
@@ -34,6 +35,23 @@
 // ARE the product here — size-vs-speed heuristics do not apply — so
 // the hot helpers are always_inline and the kernel roots flatten their
 // whole call tree (GCC ignores inline limits when flattening).
+//
+// flatten alone did not keep the tile in registers: GCC outlined the
+// generic lambdas this file once folded its tap loops with as local
+// constprop clones before flattening, so every stride-2 kernel with
+// S >= 3 called one per (c, r) row and streamed its accumulators through
+// memory. What holds now is (a) every helper on the FMA path is a named
+// always_inline function, so there is nothing left to outline, and (b)
+// the tap order of input_stationary_taps: on NEON it keeps the window,
+// the filters and the tile within the 32 registers (Eq. 3 arithmetic);
+// on x86 the broadcast operand comes from memory, so only filters and
+// tile compete for registers. The kernel-matrix CI job checks (a) on
+// the compiled objects: no local function, no call but memcpy/memset
+// (pack_row's, in the fused kernels). On x86 GCC still spills a few
+// registers per row in the blocks whose S filter sets do not fit beside
+// the tile (8x12 at S >= 3, 12x8 at S >= 5); none of them is a
+// ResNet-50 layer's block, and each spills less than it did in the
+// filter-stationary order (EXPERIMENTS.md).
 #if defined(__GNUC__) || defined(__clang__)
 #define NDIRECT_ALWAYS_INLINE inline __attribute__((always_inline))
 #define NDIRECT_FLATTEN __attribute__((flatten))
@@ -192,43 +210,132 @@ NDIRECT_ALWAYS_INLINE void store_policy(const MicroArgs& a,
 // Unrolled Algorithm 3 body
 // ---------------------------------------------------------------------------
 
-// One lane-indexed FMA tap: acc[j] += x[I/4][lane I%4] * f[j]. I is the
-// compile-time index of the input element (w*STR + s) within the
-// preloaded window registers.
-template <int I, int XV, int VKV>
-NDIRECT_ALWAYS_INLINE void lane_fma_tap(vec128f (&acc)[VKV],
-                                        const vec128f (&x)[XV],
-                                        const vec128f (&f)[VKV]) {
-  static_assert(I / 4 < XV);
-  for (int j = 0; j < VKV; ++j) {
-    acc[j] = vfma_lane<I % 4>(acc[j], x[I / 4], f[j]);
+// Every pack expansion below folds over a named always_inline helper,
+// never a generic lambda (see the note on flatten at the top).
+
+// The packed input row as the FMAs read it: element I is the scalar
+// operand of every (w, s) tap with w*STR + s == I. NEON preloads the
+// window into ceil(packw/4) registers and reads element I as a lane
+// (FMLA by element); x86 broadcasts it from memory, so there the window
+// costs no registers.
+template <int XV>
+struct InputWindow {
+  const float* row;
+  vec128f x[XV]{};  ///< NEON only; unused (and dropped) on x86
+
+  NDIRECT_ALWAYS_INLINE explicit InputWindow(const float* brow) : row(brow) {
+    if constexpr (!kLaneOperandFromMemory) {
+      for (int t = 0; t < XV; ++t) x[t] = vload(brow + 4 * t);
+    }
+  }
+
+  /// acc[j] += element I * f[j] for the VKV vectors of one tap.
+  template <int I, int VKV>
+  NDIRECT_ALWAYS_INLINE void fma(vec128f (&acc)[VKV],
+                                 const vec128f (&f)[VKV]) const {
+    static_assert(I / 4 < XV);
+    if constexpr (kLaneOperandFromMemory) {
+      const vec128f b = vdup(row[I]);
+      for (int j = 0; j < VKV; ++j) acc[j] = vfma(acc[j], b, f[j]);
+    } else {
+      for (int j = 0; j < VKV; ++j) {
+        acc[j] = vfma_lane<I % 4>(acc[j], x[I / 4], f[j]);
+      }
+    }
+  }
+};
+
+/// Tap order of one policy, a compile-time consequence of the target's
+/// register budget (DESIGN.md §2). Both orders give every accumulator
+/// its S taps of a (c, r) row in ascending s, so they are bitwise
+/// identical; they differ in which operand stays in registers.
+///  - Input-stationary: the S filter-vector sets stay live and each
+///    input element is broadcast once, then applied to all of its
+///    (w, s) taps. x86 always takes it: its broadcast reads the element
+///    from memory, and where the filter sets do not all fit the compiler
+///    re-reads filters from L1, which measured no slower than the
+///    filter-stationary order in every such block (EXPERIMENTS.md).
+///  - Filter-stationary (Algorithm 3's order): one tap's VKV filter
+///    vectors at a time, each applied to all VW columns. NEON keeps it
+///    where the ceil(packw/4)-register window, the S*VKV filter
+///    registers and the tile together exceed its 32 registers.
+template <int VW, int VKV, int S, int STR>
+constexpr bool input_stationary_taps() {
+  constexpr int kWindowRegs = ((VW - 1) * STR + S + 3) / 4;
+  return kLaneOperandFromMemory ||
+         kWindowRegs + S * VKV + VW * VKV <= kNumVecRegs;
+}
+
+template <int VKV>
+NDIRECT_ALWAYS_INLINE void load_tap_filters(vec128f (&f)[VKV],
+                                            const float* frow, int s) {
+  for (int j = 0; j < VKV; ++j) f[j] = vload(frow + (s * VKV + j) * 4);
+}
+
+// Filter-stationary: tap s's filter vectors against every column w.
+template <int VW, int VKV, int STR, int XV, int s, int... Ws>
+NDIRECT_ALWAYS_INLINE void filter_stationary_tap(
+    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    std::integer_sequence<int, Ws...>) {
+  vec128f f[VKV];
+  load_tap_filters(f, frow, s);
+  (in.template fma<Ws * STR + s>(acc[Ws], f), ...);
+}
+
+template <int VW, int VKV, int STR, int XV, int... Ss>
+NDIRECT_ALWAYS_INLINE void filter_stationary_row(
+    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    std::integer_sequence<int, Ss...>) {
+  (filter_stationary_tap<VW, VKV, STR, XV, Ss>(
+       acc, in, frow, std::make_integer_sequence<int, VW>{}),
+   ...);
+}
+
+// Input-stationary: element I against tap s, if that tap exists, i.e.
+// I - s is a non-negative multiple of STR that names a column below VW.
+template <int VW, int VKV, int STR, int XV, int I, int s>
+NDIRECT_ALWAYS_INLINE void input_stationary_tap(vec128f (&acc)[VW][VKV],
+                                                const InputWindow<XV>& in,
+                                                const vec128f (&f)[VKV]) {
+  if constexpr (I >= s && (I - s) % STR == 0 && (I - s) / STR < VW) {
+    in.template fma<I>(acc[(I - s) / STR], f);
   }
 }
 
-// Process one (c, r) row pair: preload the packed input row into XV
-// vector registers, then for each kernel tap s (unrolled) load the Vk
-// filter vector and update all VW accumulators via lane FMAs.
+template <int VW, int VKV, int S, int STR, int XV, int I, int... Ss>
+NDIRECT_ALWAYS_INLINE void input_stationary_element(
+    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in,
+    const vec128f (&f)[S][VKV], std::integer_sequence<int, Ss...>) {
+  (input_stationary_tap<VW, VKV, STR, XV, I, Ss>(acc, in, f[Ss]), ...);
+}
+
+template <int VW, int VKV, int S, int STR, int XV, int... Is>
+NDIRECT_ALWAYS_INLINE void input_stationary_row(
+    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    std::integer_sequence<int, Is...>) {
+  vec128f f[S][VKV];
+  for (int s = 0; s < S; ++s) load_tap_filters(f[s], frow, s);
+  (input_stationary_element<VW, VKV, S, STR, XV, Is>(
+       acc, in, f, std::make_integer_sequence<int, S>{}),
+   ...);
+}
+
+// Process one (c, r) row pair: every (w, s) tap of the packed input row
+// against the row's S x Vk filter vectors, in the policy's tap order.
 template <int VW, int VKV, int S, int STR>
 NDIRECT_ALWAYS_INLINE void cr_compute_unrolled(vec128f (&acc)[VW][VKV],
                                                const float* brow,
                                                const float* frow) {
-  constexpr int VK = VKV * 4;
   constexpr int PACKW = (VW - 1) * STR + S;
   constexpr int XV = (PACKW + 3) / 4;
-  vec128f x[XV];
-  for (int t = 0; t < XV; ++t) x[t] = vload(brow + 4 * t);
-
-  [&]<int... Ss>(std::integer_sequence<int, Ss...>) {
-    (([&] {
-       constexpr int s = Ss;
-       vec128f f[VKV];
-       for (int j = 0; j < VKV; ++j) f[j] = vload(frow + s * VK + 4 * j);
-       [&]<int... Ws>(std::integer_sequence<int, Ws...>) {
-         (lane_fma_tap<Ws * STR + s, XV, VKV>(acc[Ws], x, f), ...);
-       }(std::make_integer_sequence<int, VW>{});
-     }()),
-     ...);
-  }(std::make_integer_sequence<int, S>{});
+  const InputWindow<XV> in(brow);
+  if constexpr (input_stationary_taps<VW, VKV, S, STR>()) {
+    input_stationary_row<VW, VKV, S, STR, XV>(
+        acc, in, frow, std::make_integer_sequence<int, PACKW>{});
+  } else {
+    filter_stationary_row<VW, VKV, STR, XV>(
+        acc, in, frow, std::make_integer_sequence<int, S>{});
+  }
 }
 
 // ---------------------------------------------------------------------------

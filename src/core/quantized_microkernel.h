@@ -152,6 +152,44 @@ I8PolicySpan i8_policy_entries_s7();
 // The generator (included by the policy TUs and the tests only).
 // ---------------------------------------------------------------------------
 
+// The pack expansions fold over named always_inline helpers, not
+// generic lambdas, for the reason given in microkernel_generator.h: a
+// lambda may be outlined with the accumulator tile in memory.
+
+// Tap (w, s): broadcast input group w*STR + s and dot it against the
+// tap's Vk filter vector.
+template <int VW, int VKV, int STR, bool UseDot, int XV, int s, int w>
+NDIRECT_ALWAYS_INLINE void i8_tap(vec128i (&acc)[VW][VKV],
+                                  const vec128b (&x)[XV],
+                                  const vec128b (&f)[VKV]) {
+  constexpr int g = w * STR + s;
+  static_assert(g / 4 < XV);
+  const vec128b b = vdup_group<g % 4>(x[g / 4]);
+  for (int j = 0; j < VKV; ++j) {
+    acc[w][j] = vdot_s8<UseDot>(acc[w][j], b, f[j]);
+  }
+}
+
+template <int VW, int VKV, int STR, bool UseDot, int XV, int s, int... Ws>
+NDIRECT_ALWAYS_INLINE void i8_filter_tap(vec128i (&acc)[VW][VKV],
+                                         const vec128b (&x)[XV],
+                                         const std::int8_t* frow,
+                                         std::integer_sequence<int, Ws...>) {
+  vec128b f[VKV];
+  for (int j = 0; j < VKV; ++j) f[j] = vload_b(frow + (s * VKV + j) * 16);
+  (i8_tap<VW, VKV, STR, UseDot, XV, s, Ws>(acc, x, f), ...);
+}
+
+template <int VW, int VKV, int STR, bool UseDot, int XV, int... Ss>
+NDIRECT_ALWAYS_INLINE void i8_filter_row(vec128i (&acc)[VW][VKV],
+                                         const vec128b (&x)[XV],
+                                         const std::int8_t* frow,
+                                         std::integer_sequence<int, Ss...>) {
+  (i8_filter_tap<VW, VKV, STR, UseDot, XV, Ss>(
+       acc, x, frow, std::make_integer_sequence<int, VW>{}),
+   ...);
+}
+
 // One (c4, r) row pair: preload the packed input row (packw 4-byte
 // groups) into whole byte-vectors, then every (w, s) tap broadcasts its
 // group and dots it against the Vk filter vector — the int8 Algorithm 3.
@@ -163,28 +201,8 @@ NDIRECT_ALWAYS_INLINE void i8_cr_compute(vec128i (&acc)[VW][VKV],
   constexpr int XV = (PACKW + 3) / 4;
   vec128b x[XV];
   for (int t = 0; t < XV; ++t) x[t] = vload_b(brow + 16 * t);
-
-  [&]<int... Ss>(std::integer_sequence<int, Ss...>) {
-    (([&] {
-       constexpr int s = Ss;
-       vec128b f[VKV];
-       for (int j = 0; j < VKV; ++j) {
-         f[j] = vload_b(frow + s * VKV * 16 + 16 * j);
-       }
-       [&]<int... Ws>(std::integer_sequence<int, Ws...>) {
-         (([&] {
-            constexpr int g = Ws * STR + s;
-            static_assert(g / 4 < XV);
-            const vec128b b = vdup_group<g % 4>(x[g / 4]);
-            for (int j = 0; j < VKV; ++j) {
-              acc[Ws][j] = vdot_s8<UseDot>(acc[Ws][j], b, f[j]);
-            }
-          }()),
-          ...);
-       }(std::make_integer_sequence<int, VW>{});
-     }()),
-     ...);
-  }(std::make_integer_sequence<int, S>{});
+  i8_filter_row<VW, VKV, STR, UseDot, XV>(acc, x, frow,
+                                          std::make_integer_sequence<int, S>{});
 }
 
 template <int VW, int VKV, int S, int STR, bool UseDot>

@@ -10,7 +10,6 @@
 #include "autotune/tuner.h"
 #include "baselines/im2col_conv.h"
 #include "baselines/naive_conv.h"
-#include "gemm/gemm.h"
 #include "simd/vec128.h"
 #include "tensor/rng.h"
 
@@ -348,22 +347,68 @@ Tensor MaxPoolOp::forward(const std::vector<const Tensor*>& in) const {
   const int P = (s.H + 2 * pad_ - kernel_) / stride_ + 1;
   const int Q = (s.W + 2 * pad_ - kernel_) / stride_ + 1;
   Tensor out({s.N, s.C, P, Q}, Layout::NCHW);
-  for (int n = 0; n < s.N; ++n)
-    for (int c = 0; c < s.C; ++c)
-      for (int oj = 0; oj < P; ++oj)
-        for (int oi = 0; oi < Q; ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (int r = 0; r < kernel_; ++r) {
-            const int ij = oj * stride_ + r - pad_;
-            if (ij < 0 || ij >= s.H) continue;
-            for (int q = 0; q < kernel_; ++q) {
-              const int ii = oi * stride_ + q - pad_;
-              if (ii < 0 || ii >= s.W) continue;
-              best = std::max(best, x.at4(n, c, ij, ii));
-            }
-          }
-          out.at4(n, c, oj, oi) = best;
+  constexpr float kEmpty = -std::numeric_limits<float>::infinity();
+  // Output columns [q_lo, q_hi) have their whole window inside the row,
+  // so their taps need no bounds checks.
+  const auto interior = [&](int oi) {
+    const int i0 = oi * stride_ - pad_;
+    return i0 >= 0 && i0 + kernel_ <= s.W;
+  };
+  int q_lo = 0;
+  while (q_lo < Q && !interior(q_lo)) ++q_lo;
+  int q_hi = q_lo;
+  while (q_hi < Q && interior(q_hi)) ++q_hi;
+  // Horizontal max of every input row first, then a vertical max over a
+  // window's rows. Each step keeps the earlier of two equal values, as
+  // std::max(best, v) does across the row-major window, so even a -0/+0
+  // tie resolves as in a plain tap loop: the output is bitwise that of
+  // the loop for any finite input. Every horizontal max starts from -inf,
+  // so, as in the loop, a NaN tap never wins and never reaches hmax.
+  std::vector<float> hmax(static_cast<std::size_t>(s.H) * Q);
+  const std::int64_t plane = std::int64_t{s.H} * s.W;
+  for (std::int64_t nc = 0; nc < std::int64_t{s.N} * s.C; ++nc) {
+    const float* src = x.data() + nc * plane;
+    for (int ih = 0; ih < s.H; ++ih) {
+      const float* row = src + std::int64_t{ih} * s.W;
+      float* h = hmax.data() + std::int64_t{ih} * Q;
+      const auto border = [&](int oi) {
+        float best = kEmpty;
+        for (int q = 0; q < kernel_; ++q) {
+          const int ii = oi * stride_ + q - pad_;
+          if (ii >= 0 && ii < s.W) best = std::max(best, row[ii]);
         }
+        h[oi] = best;
+      };
+      for (int oi = 0; oi < q_lo; ++oi) border(oi);
+      for (int oi = q_hi; oi < Q; ++oi) border(oi);
+      for (int oi = q_lo; oi < q_hi; ++oi) {
+        const float* win = row + oi * stride_ - pad_;
+        float best = kEmpty;
+        for (int q = 0; q < kernel_; ++q) best = std::max(best, win[q]);
+        h[oi] = best;
+      }
+    }
+    float* dst = out.data() + nc * P * Q;
+    for (int oj = 0; oj < P; ++oj) {
+      float* o = dst + std::int64_t{oj} * Q;
+      const int r_lo = std::max(0, oj * stride_ - pad_);
+      const int r_hi = std::min(s.H, oj * stride_ - pad_ + kernel_);
+      if (r_lo >= r_hi) {
+        std::fill(o, o + Q, kEmpty);
+        continue;
+      }
+      std::memcpy(o, hmax.data() + std::int64_t{r_lo} * Q,
+                  sizeof(float) * static_cast<std::size_t>(Q));
+      for (int ih = r_lo + 1; ih < r_hi; ++ih) {
+        const float* h = hmax.data() + std::int64_t{ih} * Q;
+        int oi = 0;
+        for (; oi + 4 <= Q; oi += 4) {
+          vstore(o + oi, vmax_ordered(vload(h + oi), vload(o + oi)));
+        }
+        for (; oi < Q; ++oi) o[oi] = std::max(o[oi], h[oi]);
+      }
+    }
+  }
   return out;
 }
 
@@ -475,23 +520,55 @@ TensorShape FcOp::infer(const std::vector<TensorShape>& in) const {
   return {in[0].N, out_features_, 1, 1};
 }
 
+namespace {
+
+// y[r] = b[r] + W[r, :] . x for ROWS consecutive weight rows, so each
+// x vector load feeds ROWS FMAs. Every row reduces the same way — one
+// vector accumulator over whole 4-float chunks, a fixed horizontal sum,
+// then the scalar tail — whatever block it falls in.
+template <int ROWS>
+void fc_rows(const float* w, std::int64_t ldw, const float* x, int in,
+             const float* b, float* y) {
+  vec128f acc[ROWS];
+  for (int r = 0; r < ROWS; ++r) acc[r] = vzero();
+  int i = 0;
+  for (; i + 4 <= in; i += 4) {
+    const vec128f xv = vload(x + i);
+    for (int r = 0; r < ROWS; ++r) {
+      acc[r] = vfma(acc[r], vload(w + r * ldw + i), xv);
+    }
+  }
+  for (int r = 0; r < ROWS; ++r) {
+    float sum = vreduce_add(acc[r]);
+    for (int t = i; t < in; ++t) sum += w[r * ldw + t] * x[t];
+    y[r] = sum + b[r];
+  }
+}
+
+}  // namespace
+
 Tensor FcOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& x = *in.at(0);
   const int N = static_cast<int>(x.dim(0));
   Tensor out({N, out_features_, 1, 1}, Layout::NCHW);
-  // out[n][o] = sum_i W[o][i] * x[n][i]  ==  X(N x in) * W^T; compute as
-  // per-sample GEMV batches through sgemm with B = x viewed (in x 1).
-  // Simpler: C(N x out) = X(N x in) * Wt(in x out); build Wt once per
-  // call is wasteful, so run sgemm with swapped operands:
-  // C^T(out x N) = W(out x in) * X^T(in x N). For small N we instead
-  // loop samples with one sgemm each (out x 1).
-  for (int n = 0; n < N; ++n) {
-    sgemm(out_features_, 1, in_features_, weights_.data(), in_features_,
-          x.data() + std::int64_t{n} * in_features_, 1,
-          out.data() + std::int64_t{n} * out_features_, 1);
-    float* dst = out.data() + std::int64_t{n} * out_features_;
-    for (int o = 0; o < out_features_; ++o) {
-      dst[o] += bias_[static_cast<std::size_t>(o)];
+  // GEMV straight over the row-major weights: no packing, so a forward
+  // streams the matrix once. Row blocks run outermost, so a batch reuses
+  // each block from cache; a sample's result does not depend on N.
+  const float* w = weights_.data();
+  constexpr int kRows = 4;
+  for (int o = 0; o < out_features_; o += kRows) {
+    const float* wo = w + std::int64_t{o} * in_features_;
+    for (int n = 0; n < N; ++n) {
+      const float* xn = x.data() + std::int64_t{n} * in_features_;
+      float* yn = out.data() + std::int64_t{n} * out_features_ + o;
+      if (o + kRows <= out_features_) {
+        fc_rows<kRows>(wo, in_features_, xn, in_features_, &bias_[o], yn);
+      } else {
+        for (int r = 0; o + r < out_features_; ++r) {
+          fc_rows<1>(wo + std::int64_t{r} * in_features_, in_features_, xn,
+                     in_features_, &bias_[o + r], yn + r);
+        }
+      }
     }
   }
   return out;

@@ -246,13 +246,17 @@ class AddOp final : public Op {
   Tensor forward(const std::vector<const Tensor*>& in) const override;
 };
 
-/// Fully connected layer on flattened input: y = W x + b via SGEMM.
+/// Fully connected layer on flattened input: y = W x + b, one GEMV per
+/// sample over the unpacked weights.
 class FcOp final : public Op {
  public:
   FcOp(int in_features, int out_features, std::uint64_t seed);
   const char* name() const override { return "fc"; }
   TensorShape infer(const std::vector<TensorShape>& in) const override;
   Tensor forward(const std::vector<const Tensor*>& in) const override;
+
+  const Tensor& weights() const { return weights_; }  ///< [out, in]
+  const std::vector<float>& bias() const { return bias_; }
 
  private:
   int in_features_, out_features_;

@@ -132,11 +132,14 @@ HttpResponse handle_trace_start(const HttpRequest& req) {
   const std::string events = req.query_param("events", "0");
   const std::size_t capacity = static_cast<std::size_t>(
       std::strtoull(events.c_str(), nullptr, 10));
-  TraceSession::global().start(capacity);
-  return json_response(
-      200, "{\"tracing\": true, \"capacity\": " +
-               std::to_string(TraceSession::global().capacity()) +
-               "}\n");
+  TraceSession& t = TraceSession::global();
+  t.start(capacity);
+  // A build with tracing compiled out answers honestly: not tracing, no
+  // ring; /trace/stop then returns an empty, valid trace.
+  return json_response(200, std::string("{\"tracing\": ") +
+                                (t.enabled() ? "true" : "false") +
+                                ", \"capacity\": " +
+                                std::to_string(t.capacity()) + "}\n");
 }
 
 HttpResponse handle_trace_stop(const HttpRequest&) {

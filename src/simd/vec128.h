@@ -33,6 +33,17 @@ inline constexpr int kVecLanes = 4;
 /// register-budget constraint (Eq. 3). ARMv8 provides V0-V31.
 inline constexpr int kNumVecRegs = 32;
 
+/// Whether a broadcast FMA takes its scalar straight from memory. x86
+/// broadcasts a float from memory (folded into the FMA's {1to4} operand
+/// on AVX-512VL), so the input window costs no registers; NEON's FMLA
+/// by element reads the scalar as a lane of a register. The micro-kernel
+/// generator picks its tap order from this (DESIGN.md §2).
+#if defined(NDIRECT_SIMD_NEON)
+inline constexpr bool kLaneOperandFromMemory = false;
+#else
+inline constexpr bool kLaneOperandFromMemory = true;
+#endif
+
 struct vec128f {
 #if defined(NDIRECT_SIMD_NEON)
   float32x4_t v;
@@ -227,6 +238,22 @@ inline vec128f vmul(vec128f a, vec128f b) {
 inline vec128f vmax(vec128f a, vec128f b) {
 #if defined(NDIRECT_SIMD_NEON)
   return {vmaxq_f32(a.v, b.v)};
+#elif defined(NDIRECT_SIMD_SSE)
+  return {_mm_max_ps(a.v, b.v)};
+#else
+  vec128f r;
+  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
+  return r;
+#endif
+}
+
+/// Lane-wise (a > b) ? a : b on every backend — x86 MAXPS's rule, so a
+/// tie (such as -0 vs +0) keeps b. vmax leaves ties to the ISA (NEON's
+/// FMAX orders -0 below +0); code that must match a scalar
+/// std::max(b, a) bit for bit uses this.
+inline vec128f vmax_ordered(vec128f a, vec128f b) {
+#if defined(NDIRECT_SIMD_NEON)
+  return {vbslq_f32(vcgtq_f32(a.v, b.v), a.v, b.v)};
 #elif defined(NDIRECT_SIMD_SSE)
   return {_mm_max_ps(a.v, b.v)};
 #else

@@ -358,6 +358,7 @@ TEST(MetricsExporterTest, DumpNowWritesTheGlobalExposition) {
 TEST(MetricsExporterTest, FlightRecordExportsTraceRingToo) {
   const std::string path =
       testing::TempDir() + "metrics_test_flight.prom";
+  std::remove((path + ".trace.json").c_str());
   MetricsExporter& exp = MetricsExporter::global();
   exp.start(path, /*interval_ms=*/3'600'000);
   TraceSession& ts = TraceSession::global();
@@ -367,9 +368,12 @@ TEST(MetricsExporterTest, FlightRecordExportsTraceRingToo) {
   ts.clear();
   exp.stop();
   EXPECT_NE(read_file(path).find("# EOF"), std::string::npos);
+  // Tracing compiled out: the metrics dump still lands, but an empty
+  // ring writes no trace file beside it.
+  EXPECT_EQ(std::ifstream(path + ".trace.json").good(), kTelemetryCompiled);
   const std::string trace = read_file(path + ".trace.json");
-  EXPECT_NE(trace.find("metrics_test_flight_marker"),
-            std::string::npos);
+  EXPECT_EQ(trace.find("metrics_test_flight_marker") != std::string::npos,
+            kTelemetryCompiled);
   std::remove((path + ".trace.json").c_str());
 }
 

@@ -16,6 +16,7 @@
 
 #include "core/filter_transform.h"
 #include "core/microkernel.h"
+#include "core/microkernel_generator.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -326,6 +327,25 @@ TEST(PolicyRegistry, MatchesEq3FeasibilityAndIsComplete) {
     seen.insert({e.vw, e.vk, e.S, e.str, static_cast<int>(e.tail)});
   }
   EXPECT_EQ(seen.size(), reg.size()) << "duplicate registry entries";
+}
+
+TEST(PolicyRegistry, TapOrderFollowsTheTargetRegisterBudget) {
+  // x86 broadcasts the input element from memory and always runs
+  // input-stationary. NEON reads lanes of the ceil(packw/4)-register
+  // window, so it runs input-stationary only where the window, the S
+  // filter-vector sets and the tile fit its 32 registers.
+  using detail::input_stationary_taps;
+  const bool from_memory = kLaneOperandFromMemory;
+  // ResNet-50's 3x3 block, 12x8 S=3: 4 + 6 + 24 = 34 on NEON.
+  EXPECT_EQ((input_stationary_taps<12, 2, 3, 1>()), from_memory);
+  // Its 7x7 stride-2 stem block, 20x4: 12 + 7 + 20 = 39 on NEON.
+  EXPECT_EQ((input_stationary_taps<20, 1, 7, 2>()), from_memory);
+  // 8x12 S=7 stride 2: 6 + 21 + 24, far past 32, yet x86 keeps the order.
+  EXPECT_EQ((input_stationary_taps<8, 3, 7, 2>()), from_memory);
+  // S = 1 holds one filter set either way: 2 + 3 + 24 = 29 fits NEON.
+  EXPECT_TRUE((input_stationary_taps<8, 3, 1, 1>()));
+  // A small S=3 block fits NEON too: 4x8 is 2 + 6 + 8 = 16.
+  EXPECT_TRUE((input_stationary_taps<4, 2, 3, 1>()));
 }
 
 TEST(PolicyRegistry, BlocksEnumerateTheS1FeasibleSet) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 
+#include "gemm/gemm.h"
 #include "nn/models.h"
 #include "nn/optimize.h"
 #include "tensor/compare.h"
@@ -71,6 +75,85 @@ TEST(Ops, MaxPoolPaddingNeverWins) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], -5.0f);
 }
 
+// The per-tap loop MaxPoolOp ran before its interior was vectorized:
+// the bitwise oracle for the split border/interior path.
+Tensor maxpool_loop_oracle(const Tensor& x, int kernel, int stride, int pad) {
+  const int N = static_cast<int>(x.dim(0)), C = static_cast<int>(x.dim(1));
+  const int H = static_cast<int>(x.dim(2)), W = static_cast<int>(x.dim(3));
+  const int P = (H + 2 * pad - kernel) / stride + 1;
+  const int Q = (W + 2 * pad - kernel) / stride + 1;
+  Tensor out({N, C, P, Q}, Layout::NCHW);
+  for (int n = 0; n < N; ++n)
+    for (int c = 0; c < C; ++c)
+      for (int oj = 0; oj < P; ++oj)
+        for (int oi = 0; oi < Q; ++oi) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (int r = 0; r < kernel; ++r) {
+            const int ij = oj * stride + r - pad;
+            if (ij < 0 || ij >= H) continue;
+            for (int q = 0; q < kernel; ++q) {
+              const int ii = oi * stride + q - pad;
+              if (ii < 0 || ii >= W) continue;
+              best = std::max(best, x.at4(n, c, ij, ii));
+            }
+          }
+          out.at4(n, c, oj, oi) = best;
+        }
+  return out;
+}
+
+TEST(Ops, MaxPoolMatchesTapLoopBitwise) {
+  struct Case {
+    int kernel, stride, pad, H, W;
+  };
+  const Case cases[] = {
+      {3, 2, 1, 112, 112},  // ResNet-50's stem pool
+      {3, 2, 1, 13, 11},    // ragged odd sizes
+      {2, 2, 0, 8, 10},     {3, 1, 1, 9, 7},   {3, 1, 0, 5, 17},
+      {5, 2, 2, 12, 9},     {2, 1, 1, 6, 6},   {3, 3, 1, 10, 14},
+      {3, 2, 2, 4, 5},      // pad > stride: empty-border windows stay -inf
+      {1, 1, 0, 3, 5},      {4, 2, 3, 7, 6},   {3, 2, 1, 3, 1},
+  };
+  std::uint64_t seed = 40;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k" << k.kernel << " s" << k.stride << " p" << k.pad
+                 << " " << k.H << "x" << k.W);
+    Tensor in = random_input(2, 3, k.H, k.W, ++seed);
+    // Signed-zero ties and repeats: max is exact, so even the choice
+    // between -0 and +0 must follow the tap loop.
+    for (std::size_t i = 0; i < in.size(); i += 3) {
+      in[i] = (i / 3) % 2 == 0 ? 0.0f : -0.0f;
+    }
+    for (std::size_t i = 1; i < in.size(); i += 7) in[i] = in[i / 2];
+    MaxPoolOp pool(k.kernel, k.stride, k.pad);
+    const Tensor got = pool.forward({&in});
+    const Tensor want = maxpool_loop_oracle(in, k.kernel, k.stride, k.pad);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0);
+    // A NaN tap never wins in the loop, wherever it sits in a window
+    // (the first tap of an interior window included).
+    for (std::size_t i = 1; i < in.size(); i += 5) {
+      in[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    const Tensor got_nan = pool.forward({&in});
+    const Tensor want_nan =
+        maxpool_loop_oracle(in, k.kernel, k.stride, k.pad);
+    EXPECT_EQ(std::memcmp(got_nan.data(), want_nan.data(),
+                          got_nan.size() * sizeof(float)),
+              0);
+  }
+  // An all-NaN input leaves every window empty: -inf, as in the loop.
+  MaxPoolOp pool(3, 2, 1);
+  Tensor nan_in = make_input_nchw(1, 1, 6, 6);
+  nan_in.fill(std::numeric_limits<float>::quiet_NaN());
+  const Tensor out = pool.forward({&nan_in});
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], -std::numeric_limits<float>::infinity());
+  }
+}
+
 TEST(Ops, GlobalAvgPoolAverages) {
   GlobalAvgPoolOp pool;
   Tensor in = make_input_nchw(1, 2, 3, 3);
@@ -118,6 +201,55 @@ TEST(Ops, FcMatchesManualDotProduct) {
   FcOp fc2(6, 3, 11);
   const Tensor out2 = fc2.forward({&in});
   EXPECT_TRUE(allclose(out, out2, 0.0, 0.0));
+}
+
+TEST(Ops, FcMatchesReferenceGemm) {
+  // Odd sizes leave row-block and 4-float tails on every path.
+  for (const auto& [in_f, out_f] : {std::pair{2048, 1000}, std::pair{37, 7},
+                                    std::pair{3, 5}}) {
+    SCOPED_TRACE(::testing::Message() << in_f << " -> " << out_f);
+    FcOp fc(in_f, out_f, 21);
+    Tensor in({3, in_f, 1, 1}, Layout::NCHW);
+    fill_random(in, 6);
+    const Tensor out = fc.forward({&in});
+    // Y^T(out x N) = W(out x in) * X^T(in x N), then + bias.
+    Tensor xt = make_matrix(in_f, 3);
+    for (int n = 0; n < 3; ++n)
+      for (int i = 0; i < in_f; ++i)
+        xt[static_cast<std::size_t>(i) * 3 + n] =
+            in[static_cast<std::size_t>(n) * in_f + i];
+    Tensor yt = make_matrix(out_f, 3);
+    sgemm_reference(out_f, 3, in_f, fc.weights().data(), in_f, xt.data(), 3,
+                    yt.data(), 3);
+    for (int n = 0; n < 3; ++n)
+      for (int o = 0; o < out_f; ++o) {
+        const float want = yt[static_cast<std::size_t>(o) * 3 + n] +
+                           fc.bias()[static_cast<std::size_t>(o)];
+        ASSERT_NEAR(out[static_cast<std::size_t>(n) * out_f + o], want,
+                    1e-4 * (1.0 + std::fabs(want)))
+            << "n=" << n << " o=" << o;
+      }
+  }
+}
+
+TEST(Ops, FcBatchEqualsSoloBitwise) {
+  // Serving batches requests: a sample's logits must not depend on the
+  // batch it rides in.
+  constexpr int kIn = 517, kOut = 1001, kN = 8;
+  FcOp fc(kIn, kOut, 9);
+  Tensor batch({kN, kIn, 1, 1}, Layout::NCHW);
+  fill_random(batch, 12);
+  const Tensor all = fc.forward({&batch});
+  for (int n = 0; n < kN; ++n) {
+    Tensor one({1, kIn, 1, 1}, Layout::NCHW);
+    std::memcpy(one.data(), batch.data() + std::int64_t{n} * kIn,
+                sizeof(float) * kIn);
+    const Tensor solo = fc.forward({&one});
+    EXPECT_EQ(std::memcmp(solo.data(), all.data() + std::int64_t{n} * kOut,
+                          sizeof(float) * kOut),
+              0)
+        << "sample " << n;
+  }
 }
 
 TEST(Ops, ShapeMismatchesThrow) {

@@ -26,6 +26,7 @@
 
 #include "runtime/metrics.h"
 #include "runtime/shutdown.h"
+#include "runtime/telemetry.h"
 #include "runtime/trace.h"
 #include "serve/batching.h"
 #include "serve/clock.h"
@@ -1042,9 +1043,11 @@ TEST(ObservabilityTest, ServeSpansCarryRequestIds) {
     }
   }
   ts.clear();
-  EXPECT_TRUE(saw_queue);
-  EXPECT_TRUE(saw_execute);
-  EXPECT_TRUE(saw_respond);
+  // Tracing compiled out (-DNDIRECT_TELEMETRY=OFF): serving runs the
+  // same, and records no span at all.
+  EXPECT_EQ(saw_queue, kTelemetryCompiled);
+  EXPECT_EQ(saw_execute, kTelemetryCompiled);
+  EXPECT_EQ(saw_respond, kTelemetryCompiled);
 }
 
 TEST(ObservabilityTest, ExitHookDrainsLiveServerBeforeExporters) {

@@ -1,6 +1,7 @@
 // Tests for the NEON-model 128-bit SIMD abstraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "simd/vec128.h"
@@ -46,6 +47,20 @@ TEST(Vec128, Arithmetic) {
     EXPECT_EQ(prod[i], a[i] * b[i]);
     EXPECT_EQ(mx[i], b[i]);
     EXPECT_EQ(mn[i], a[i]);
+  }
+}
+
+TEST(Vec128, MaxOrderedKeepsTheSecondOperandOnTies) {
+  // (a > b) ? a : b on every backend, so a signed-zero tie resolves the
+  // same way as a scalar std::max(b, a).
+  const float a[4] = {0.0f, -0.0f, 2.0f, -1.0f};
+  const float b[4] = {-0.0f, 0.0f, 1.0f, 3.0f};
+  float r[4];
+  vstore(r, vmax_ordered(vload(a), vload(b)));
+  for (int i = 0; i < 4; ++i) {
+    const float want = std::max(b[i], a[i]);
+    EXPECT_EQ(r[i], want);
+    EXPECT_EQ(std::signbit(r[i]), std::signbit(want)) << "lane " << i;
   }
 }
 
