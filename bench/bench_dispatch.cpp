@@ -106,22 +106,20 @@ int main() {
 
   NdirectOptions seed_opts;
   seed_opts.persistent_scratch = false;  // heap-alloc pack/ftile per call
-  seed_opts.cache_packed_filter = false;  // transform per call
   seed_opts.pool = &park_pool;
-  const NdirectConv seed_conv(layer, seed_opts);
+  const NdirectConv seed_conv(layer, seed_opts);  // KCRS: transform per call
 
   NdirectOptions opt_opts;
-  opt_opts.cache_packed_filter = true;
   opt_opts.pool = &spin_pool;
   const NdirectConv opt_conv(layer, opt_opts);
-  opt_conv.prepare_filter(filter.data());  // pack once, ahead of serving
+  const Tensor packed = opt_conv.pack_filter(filter.data());  // pack once
 
   const int conv_reps = cfg.full ? 3000 : 500;
   const Percentiles lat_seed = time_calls(
       [&] { seed_conv.run_into(input.data(), filter.data(), out.data()); },
       conv_reps);
   const Percentiles lat_opt = time_calls(
-      [&] { opt_conv.run_into(input.data(), filter.data(), out.data()); },
+      [&] { opt_conv.run_into(input.data(), packed, out.data()); },
       conv_reps);
 
   std::printf("\n[measured] conv5_x-style layer %s, N=1 (%d reps):\n",
@@ -148,7 +146,7 @@ int main() {
   const std::uint64_t t0 = transform_filter_tile_calls();
   const std::uint64_t g0 = scratch_grow_events();
   for (int i = 0; i < 100; ++i)
-    opt_conv.run_into(input.data(), filter.data(), out.data());
+    opt_conv.run_into(input.data(), packed, out.data());
   const std::uint64_t transforms = transform_filter_tile_calls() - t0;
   const std::uint64_t grows = scratch_grow_events() - g0;
   std::printf("steady-state (100 calls): filter transforms = %llu, "

@@ -20,7 +20,7 @@ using namespace ndirect::bench;
 namespace {
 
 // Measure the int8 engine on `p` with the fp32 dequantize epilogue (the
-// end-to-end inference configuration). The packed-filter cache is off so
+// end-to-end inference configuration). Each run packs the raw filter, so
 // the run includes the filter transform, matching the Section 7.4
 // methodology the fp32 row uses. GFLOPS are fp32-equivalent.
 double time_int8_gflops(const ConvParams& p, Int8Backend backend,
@@ -42,7 +42,6 @@ double time_int8_gflops(const ConvParams& p, Int8Backend backend,
   dst.f32 = out.data();
   Int8ConvOptions opt;
   opt.backend = backend;
-  opt.cache_packed_filter = false;
   const Int8Conv conv(p, opt);
   return time_gflops(
       [&] { conv.run(in.data(), 128, flt.data(), ep, dst); },

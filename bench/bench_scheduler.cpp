@@ -148,12 +148,13 @@ int main() {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "%s{\"case\": \"%s\", \"threads\": %d, "
+        "%s{\"case\": \"%s\", \"threads\": %d, \"oversubscribed\": %s, "
         "\"static_gflops\": %.3f, \"stealing_gflops\": %.3f, "
         "\"ratio\": %.4f, \"tiles\": %llu, \"steals\": %llu, "
         "\"imbalance\": %llu, \"alpha\": %.3f, \"ptn\": %d, "
         "\"ptk\": %d",
-        i == 0 ? "" : ", ", c.name.c_str(), c.threads, r.static_gflops,
+        i == 0 ? "" : ", ", c.name.c_str(), c.threads,
+        c.threads > hw ? "true" : "false", r.static_gflops,
         r.steal_gflops, ratio,
         static_cast<unsigned long long>(r.stats.tiles),
         static_cast<unsigned long long>(r.stats.steals),

@@ -182,14 +182,14 @@ Int8TuneResult autotune_int8_block(const ConvParams& p,
     opt.force_block = rb;
     opt.pool = pool;
     const Int8Conv conv(p, opt);
-    conv.prepare_filter(filter.data());
+    const Int8Conv::PackedFilter packed = conv.pack_filter(filter.data());
     Int8BlockTrial trial{rb, 0.0};
     if (total.seconds() < budget_seconds) {
-      conv.run(input.data(), 128, filter.data(), ep, dst);  // warm
+      conv.run(input.data(), 128, packed, ep, dst);  // warm
       int reps = 0;
       WallTimer t;
       do {
-        conv.run(input.data(), 128, filter.data(), ep, dst);
+        conv.run(input.data(), 128, packed, ep, dst);
         ++reps;
       } while (t.seconds() < 0.005 &&
                total.seconds() < budget_seconds);

@@ -1,12 +1,6 @@
 // The nDirect execution engine: Algorithm 2's loop nest around the
 // micro-kernels, with the PTn x PTk thread grid of Section 6.
-#include <atomic>
-#include <cassert>
-#include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <vector>
 
 #include "core/alpha.h"
 #include "core/exec.h"
@@ -16,52 +10,6 @@
 
 namespace ndirect {
 
-/// Lazily filled packed-filter cache. One immutable entry per source
-/// filter pointer: an entry is packed once under the cache mutex,
-/// published, and never written again, so warm readers need no lock and
-/// two concurrent const runs with *different* filters can never
-/// overwrite a buffer the other is reading. Pointer keying is validated
-/// by a sampled content fingerprint on every hit, which catches the
-/// silent-failure modes a raw pointer cannot: a freed weight tensor
-/// whose address the allocator reuses, or in-place mutation without
-/// invalidate_filter_cache(). Held by shared_ptr so NdirectConv copies
-/// share one cache.
-struct NdirectConv::FilterCache {
-  struct Entry {
-    std::atomic<const float*> src{nullptr};  ///< key; nullptr = retired
-    std::uint64_t fp = 0;  ///< filter_fingerprint at pack time
-    Tensor packed;         ///< KPacked, whole filter
-  };
-  std::mutex mutex;
-  /// Most-recently-used entry, for the lock-free warm path.
-  std::atomic<Entry*> hot{nullptr};
-  /// Owning list (stable heap addresses). Mutated only under `mutex`;
-  /// superseded entries are retired (src = nullptr), not destroyed, so
-  /// a racing reader's pointer stays valid until invalidate.
-  std::vector<std::unique_ptr<Entry>> entries;
-};
-
-namespace {
-
-/// Content fingerprint validating warm filter-cache hits: the element
-/// count mixed with up to 64 values sampled evenly across the tensor
-/// (a few cache lines per call — noise next to the convolution). A
-/// stale hit slips through only if the replacement tensor matches size
-/// and every sampled bit pattern; invalidate_filter_cache() remains the
-/// authoritative API, the fingerprint is the safety net.
-std::uint64_t filter_fingerprint(const float* data, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
-  const std::size_t samples = n < 64 ? n : 64;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const std::size_t idx = samples > 1 ? i * (n - 1) / (samples - 1) : 0;
-    std::uint32_t bits;
-    std::memcpy(&bits, data + idx, sizeof(bits));
-    h = (h ^ bits) * 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 namespace {
 
 /// Per-layout addressing used by the shared loop nest.
@@ -134,9 +82,7 @@ ConvParams flatten_rows(const ConvParams& p, int vw) {
 
 NdirectConv::NdirectConv(const ConvParams& params,
                          const NdirectOptions& options)
-    : params_(params),
-      options_(options),
-      fcache_(std::make_shared<FilterCache>()) {
+    : params_(params), options_(options) {
   if (!params.valid()) {
     throw std::invalid_argument("NdirectConv: invalid convolution " +
                                 params.to_string());
@@ -180,9 +126,8 @@ namespace {
 // Shared loop nest for both layouts.
 void run_nest(const ConvParams& p, const NdirectPlan& plan,
               const NdirectOptions& opts, const LayoutStrides& ls,
-              const float* input, const float* filter,
-              const float* aot_packed, float* output,
-              const NdirectConv::Epilogue& epi) {
+              const float* input, const float* filter, bool packed,
+              float* output, const NdirectConv::Epilogue& epi) {
   const int P = p.P(), Q = p.Q();
   const int vw = plan.rb.vw, vk = plan.rb.vk;
   const int tc = plan.tiling.tc, th = plan.tiling.th;
@@ -253,7 +198,7 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
   ex.persistent_scratch = opts.persistent_scratch;
   ex.scratch[static_cast<int>(ScratchSlot::kPack)] =
       static_cast<std::size_t>(tc) * p.R * plan.packw + 4;
-  if (aot_packed == nullptr)
+  if (!packed)
     ex.scratch[static_cast<int>(ScratchSlot::kFilterTile)] =
         static_cast<std::size_t>(tk_blocks) * vk * tc * p.R * p.S;
   ex.telemetry = opts.telemetry;
@@ -294,8 +239,8 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
         const bool last_c = ct + tcn >= p.C;
         const float* ftile_base;
         std::int64_t f_kb_stride;
-        if (aot_packed != nullptr) {
-          ftile_base = aot_packed + (kb0 * p.C + ct) * f_c_stride;
+        if (packed) {
+          ftile_base = filter + (kb0 * p.C + ct) * f_c_stride;
           f_kb_stride = std::int64_t{p.C} * f_c_stride;
         } else {
           w.timed(Counter::kTransformNs, [&] {
@@ -419,44 +364,36 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
   });
 }
 
-// One run of `conv` in either layout: the filter arrives from the
-// packed-filter cache, an ahead-of-time transform, or (neither) on the
-// fly inside the loop nest.
+// One run of `conv` in either layout: the filter arrives packed (from
+// pack_filter, or packed here for the aot_filter ablation), or in KCRS
+// and is transformed tile by tile inside the loop nest.
 void run_layout(const NdirectConv& conv, const LayoutStrides& ls,
-                const float* input, const float* filter, float* output,
-                const NdirectConv::Epilogue& epilogue) {
+                const float* input, const float* filter, bool packed,
+                float* output, const NdirectConv::Epilogue& epilogue) {
   const NdirectOptions& options = conv.options();
-  const ConvParams& p = conv.params();
-  const int vk = conv.plan().rb.vk;
-  const float* aot_data = nullptr;
   Tensor aot;
-  bool cache_hit = false;
-  if (options.cache_packed_filter) {
-    // A warm entry means this run is served from the packed-filter
-    // cache (no transform at all); only probed when a telemetry sink
-    // will record it, so the plain path pays nothing.
-    if (options.telemetry != nullptr && telemetry_enabled())
-      cache_hit = conv.filter_cache_warm(filter);
-    aot_data = conv.prepare_filter(filter);
-  } else if (options.aot_filter) {
+  if (!packed && options.aot_filter) {
     WallTimer t;
-    // The tiled transform over the whole tensor (identical layout to
-    // pack_filter_kpacked).
-    aot = Tensor({(p.K + vk - 1) / vk, p.C, p.R, p.S, vk}, Layout::KPacked);
-    transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
-                          static_cast<int>(aot.dim(0)) * vk, 0, p.C, vk,
-                          aot.data());
+    aot = conv.pack_filter(filter);
     if (options.phase_timer != nullptr)
       options.phase_timer->add("transform", t.seconds());
-    aot_data = aot.data();
+    filter = aot.data();
+    packed = true;
   }
   run_nest(conv.exec_params(), conv.plan(), options, ls, input, filter,
-           aot_data, output, epilogue);
-  if (cache_hit && options.telemetry != nullptr &&
-      !options.telemetry->workers.empty()) {
-    options.telemetry->workers[0]
-        .v[static_cast<int>(Counter::kCacheHits)] += 1;
-  }
+           packed, output, epilogue);
+}
+
+bool is_kcrs_filter(const Tensor& f, const ConvParams& p) {
+  return f.layout() == Layout::KCRS && f.rank() == 4 && f.dim(0) == p.K &&
+         f.dim(1) == p.C && f.dim(2) == p.R && f.dim(3) == p.S;
+}
+
+/// True when `f` has the exact dims pack_filter() gives `p` at `vk`.
+bool is_packed_filter(const Tensor& f, const ConvParams& p, int vk) {
+  return f.layout() == Layout::KPacked && f.rank() == 5 &&
+         f.dim(0) == (p.K + vk - 1) / vk && f.dim(1) == p.C &&
+         f.dim(2) == p.R && f.dim(3) == p.S && f.dim(4) == vk;
 }
 
 }  // namespace
@@ -471,84 +408,46 @@ Tensor NdirectConv::run(const Tensor& input, const Tensor& filter,
                                 p.to_string() + ", got " +
                                 input.shape_string());
   }
-  if (filter.layout() != Layout::KCRS || filter.rank() != 4 ||
-      filter.dim(0) != p.K || filter.dim(1) != p.C ||
-      filter.dim(2) != p.R || filter.dim(3) != p.S) {
+  const bool packed = is_packed_filter(filter, p, plan_.rb.vk);
+  if (!packed && !is_kcrs_filter(filter, p)) {
     throw std::invalid_argument("NdirectConv::run: filter must be KCRS " +
-                                p.to_string() + ", got " +
+                                p.to_string() +
+                                " or its pack_filter() tensor, got " +
                                 filter.shape_string());
   }
 
   Tensor out = make_output_nchw(p.N, p.K, p.P(), p.Q());
-  run_into(input.data(), filter.data(), out.data(), epilogue);
+  run_layout(*this, nchw_strides(exec_), input.data(), filter.data(), packed,
+             out.data(), epilogue);
   return out;
 }
 
 void NdirectConv::run_into(const float* input, const float* filter,
                            float* output, const Epilogue& epilogue) const {
-  run_layout(*this, nchw_strides(exec_), input, filter, output, epilogue);
+  run_layout(*this, nchw_strides(exec_), input, filter, false, output,
+             epilogue);
 }
 
-const float* NdirectConv::prepare_filter(const float* filter) const {
-  if (!options_.cache_packed_filter) return nullptr;
-  FilterCache& fc = *fcache_;
-  const ConvParams& p = params_;
-  const std::uint64_t fp = filter_fingerprint(
-      filter, static_cast<std::size_t>(p.K) * p.C * p.R * p.S);
-  // Warm path: one acquire load, no lock. The release publish below
-  // orders the entry's packed contents before it becoming visible; the
-  // fingerprint check rejects stale hits instead of serving stale
-  // weights.
-  FilterCache::Entry* hot = fc.hot.load(std::memory_order_acquire);
-  if (hot != nullptr &&
-      hot->src.load(std::memory_order_relaxed) == filter && hot->fp == fp)
-    return hot->packed.data();
-
-  std::lock_guard<std::mutex> lock(fc.mutex);
-  for (const auto& e : fc.entries) {
-    if (e->src.load(std::memory_order_relaxed) != filter) continue;
-    if (e->fp == fp) {
-      fc.hot.store(e.get(), std::memory_order_release);
-      return e->packed.data();
-    }
-    // Same address, different contents: the weight tensor was freed and
-    // its address reused, or it was mutated in place without an
-    // invalidate. Retire the entry — a racing run may still read it, so
-    // it is only unlinked, never destroyed here — and pack afresh.
-    e->src.store(nullptr, std::memory_order_relaxed);
+void NdirectConv::run_into(const float* input, const Tensor& packed,
+                           float* output, const Epilogue& epilogue) const {
+  if (!is_packed_filter(packed, params_, plan_.rb.vk)) {
+    throw std::invalid_argument(
+        "NdirectConv::run_into: packed filter must be pack_filter()'s "
+        "KPacked tensor for " +
+        params_.to_string() + ", got " + packed.shape_string());
   }
-  auto entry = std::make_unique<FilterCache::Entry>();
+  run_layout(*this, nchw_strides(exec_), input, packed.data(), true, output,
+             epilogue);
+}
+
+Tensor NdirectConv::pack_filter(const float* kcrs) const {
+  const ConvParams& p = params_;
   const int vk = plan_.rb.vk;
-  entry->packed =
-      Tensor({(p.K + vk - 1) / vk, p.C, p.R, p.S, vk}, Layout::KPacked);
-  WallTimer t;
-  transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
-                        static_cast<int>(entry->packed.dim(0)) * vk, 0, p.C,
-                        vk, entry->packed.data());
-  if (options_.phase_timer != nullptr)
-    options_.phase_timer->add("transform", t.seconds());
-  entry->fp = fp;
-  entry->src.store(filter, std::memory_order_relaxed);
-  FilterCache::Entry* raw = entry.get();
-  fc.entries.push_back(std::move(entry));
-  fc.hot.store(raw, std::memory_order_release);
-  return raw->packed.data();
-}
-
-void NdirectConv::invalidate_filter_cache() {
-  // Destroys the packed buffers, so this must not race with a
-  // concurrent run()/run_into() on the same cache (concurrent runs with
-  // stable weight pointers need no invalidation in the first place).
-  std::lock_guard<std::mutex> lock(fcache_->mutex);
-  fcache_->hot.store(nullptr, std::memory_order_relaxed);
-  fcache_->entries.clear();
-}
-
-bool NdirectConv::filter_cache_warm(const float* filter) const {
-  std::lock_guard<std::mutex> lock(fcache_->mutex);
-  for (const auto& e : fcache_->entries)
-    if (e->src.load(std::memory_order_relaxed) == filter) return true;
-  return false;
+  Tensor packed({(p.K + vk - 1) / vk, p.C, p.R, p.S, vk}, Layout::KPacked);
+  transform_filter_tile(kcrs, p.K, p.C, p.R, p.S, 0,
+                        static_cast<int>(packed.dim(0)) * vk, 0, p.C, vk,
+                        packed.data());
+  return packed;
 }
 
 Tensor NdirectConv::run_nhwc(const Tensor& input, const Tensor& filter,
@@ -562,16 +461,17 @@ Tensor NdirectConv::run_nhwc(const Tensor& input, const Tensor& filter,
                                 p.to_string() + ", got " +
                                 input.shape_string());
   }
-  if (filter.layout() != Layout::KCRS || filter.rank() != 4 ||
-      filter.dim(0) != p.K || filter.dim(1) != p.C ||
-      filter.dim(2) != p.R || filter.dim(3) != p.S) {
+  const bool packed = is_packed_filter(filter, p, plan_.rb.vk);
+  if (!packed && !is_kcrs_filter(filter, p)) {
     throw std::invalid_argument("NdirectConv::run_nhwc: filter must be "
                                 "KCRS " +
-                                p.to_string());
+                                p.to_string() +
+                                " or its pack_filter() tensor, got " +
+                                filter.shape_string());
   }
 
   Tensor out = make_output_nhwc(p.N, p.P(), p.Q(), p.K);
-  run_layout(*this, nhwc_strides(exec_), input.data(), filter.data(),
+  run_layout(*this, nhwc_strides(exec_), input.data(), filter.data(), packed,
              out.data(), epilogue);
   return out;
 }

@@ -20,9 +20,10 @@ void transform_filter_tile(const float* filter, int K, int C, int R, int S,
                            float* tile);
 
 /// Process-wide count of transform_filter_tile invocations (relaxed
-/// atomic; monotonic). Lets tests and benches prove the packed-filter
-/// cache eliminates per-call transforms: the count must not move across
-/// steady-state inference calls.
+/// atomic; monotonic). NdirectConv::pack_filter is one call; a run on
+/// its packed tensor makes none. Lets tests and benches prove that
+/// steady-state inference calls transform nothing: the count must not
+/// move across them.
 std::uint64_t transform_filter_tile_calls();
 
 }  // namespace ndirect

@@ -16,8 +16,6 @@
 // or the one-shot helper `ndirect_conv(input, filter, p)`.
 #pragma once
 
-#include <memory>
-
 #include "core/fai.h"
 #include "core/threading.h"
 #include "core/tiling.h"
@@ -65,26 +63,10 @@ struct NdirectOptions {
   /// this off gives the sequential-packing baseline of Fig. 5.
   bool fuse_packing = true;
 
-  /// Transform the whole filter ahead of time instead of per tile inside
-  /// loop L4 (ablation; the paper's nDirect transforms on the fly).
+  /// Transform the whole filter ahead of time (through pack_filter) on
+  /// every run instead of per tile inside loop L4 (ablation; the paper's
+  /// nDirect transforms on the fly).
   bool aot_filter = false;
-
-  /// Cache the ahead-of-time packed filter inside the engine, keyed by
-  /// the filter data pointer: the first run packs the KCRS filter to the
-  /// ceil(K/Vk) x C x R x S x Vk layout once, and every later run with
-  /// the same pointer skips the transform entirely. This is the
-  /// inference-serving mode (weights are immutable across calls); the
-  /// graph executor's ConvOp turns it on. Each distinct pointer gets its
-  /// own immutable packed copy (concurrent const runs with different
-  /// filters stay thread-safe), and hits are validated with a sampled
-  /// content fingerprint so allocator address reuse or in-place
-  /// mutation is detected and re-packed instead of silently serving
-  /// stale weights. After mutating or freeing filter data, still call
-  /// NdirectConv::invalidate_filter_cache() — it also releases the
-  /// packed copies; the fingerprint is a best-effort safety net. Off by
-  /// default: the paper's nDirect transforms on the fly, and the
-  /// figure benches measure that path.
-  bool cache_packed_filter = false;
 
   /// Take the workers' pack/filter-tile buffers from the per-OS-thread
   /// persistent scratch arena (runtime/scratch.h) instead of
@@ -156,7 +138,7 @@ struct NdirectOptions {
 
   /// When non-null, filled after each run with that run's per-worker
   /// telemetry: tiles claimed, steals by locality class, phase
-  /// nanoseconds, cache hits, and the run's wall time (the input to
+  /// nanoseconds, and the run's wall time (the input to
   /// build_conv_report). Overwritten every run; cleared to an empty
   /// snapshot when telemetry is disabled. Like sched_stats, point
   /// concurrent runs of one engine at distinct sinks or leave null.
@@ -193,13 +175,16 @@ class NdirectConv {
 
   using Epilogue = ConvEpilogue;
 
-  /// input NCHW [N,C,H,W], filter KCRS -> output NCHW [N,K,P,Q].
+  /// input NCHW [N,C,H,W], filter KCRS -> output NCHW [N,K,P,Q]. The
+  /// filter may instead be the KPacked tensor pack_filter() returned,
+  /// which skips the transform (same output, bit for bit).
   Tensor run(const Tensor& input, const Tensor& filter,
              const Epilogue& epilogue = {}) const;
 
   /// input NHWC [N,H,W,C], filter KCRS -> output NHWC [N,P,Q,K].
   /// (The filter stays in the framework KCRS layout in both paths; only
-  /// its on-the-fly transform target differs in stride bookkeeping.)
+  /// its on-the-fly transform target differs in stride bookkeeping. A
+  /// pack_filter() tensor is accepted here too.)
   Tensor run_nhwc(const Tensor& input, const Tensor& filter,
                   const Epilogue& epilogue = {}) const;
 
@@ -210,30 +195,26 @@ class NdirectConv {
   void run_into(const float* input, const float* filter, float* output,
                 const Epilogue& epilogue = {}) const;
 
-  /// Pack `filter` into the engine's cached KPacked buffer now (instead
-  /// of lazily on the first run). Only meaningful with
-  /// options().cache_packed_filter; a no-op otherwise. Returns the
-  /// cached packed data (nullptr when caching is off).
-  const float* prepare_filter(const float* filter) const;
+  /// Transform a whole KCRS filter (params() K, C, R, S) into the
+  /// KPacked [ceil(K/Vk)][C][R][S][Vk] tensor the loop nest reads in
+  /// place of its per-tile transform; K positions past K are zero. The
+  /// engine keeps no copy: the caller owns the result and passes it to
+  /// run()/run_nhwc() in place of the KCRS filter, or to the run_into()
+  /// overload below. This is the inference path — the op that owns the
+  /// weights packs them once, and steady-state runs transform nothing.
+  Tensor pack_filter(const float* kcrs) const;
 
-  /// Drop all cached packed filters (weights were mutated in place or
-  /// freed). The next run re-packs. Must not be called concurrently
-  /// with run()/run_into() on this engine or a copy sharing its cache:
-  /// it frees the packed buffers a racing run could be reading.
-  void invalidate_filter_cache();
-
-  /// True when a packed copy keyed by `filter` is resident (its
-  /// contents are re-validated against the live weights on use).
-  bool filter_cache_warm(const float* filter) const;
+  /// run_into() on a filter from pack_filter(): no transform at all.
+  /// Throws std::invalid_argument unless `packed` is KPacked with this
+  /// plan's dims. Concurrent runs may share one packed tensor.
+  void run_into(const float* input, const Tensor& packed, float* output,
+                const Epilogue& epilogue = {}) const;
 
  private:
-  struct FilterCache;  ///< engine.cpp; shared so the engine stays copyable
-
   ConvParams params_;
   ConvParams exec_;
   NdirectOptions options_;
   NdirectPlan plan_;
-  std::shared_ptr<FilterCache> fcache_;
 };
 
 /// One-shot convenience wrapper around NdirectConv.

@@ -77,15 +77,6 @@ QuantizedFilterI8 quantize_filter_i8(const float* filter,
   return q;
 }
 
-/// Packed filter: [kb][c4][R][S][vk][4] s8 (K zero-padded to vk, C to
-/// 4) plus per-k filter-tap sums (the zero-point compensation base).
-struct Int8Conv::PackedFilter {
-  const std::int8_t* key = nullptr;
-  AlignedBuffer<std::int8_t> data;
-  std::vector<std::int32_t> rowsum;  ///< K: sum of filter k's s8 taps
-  explicit PackedFilter(std::size_t bytes) : data(bytes) {}
-};
-
 namespace {
 
 /// The execution shape: 1x1/stride-1/no-pad convolutions flatten the
@@ -102,9 +93,6 @@ I8ExecShape i8_exec_shape(const ConvParams& p) {
   }
   return {p.H, p.W, p.P(), p.Q()};
 }
-
-std::shared_ptr<const Int8Conv::PackedFilter> i8_pack_filter(
-    const std::int8_t* filter, const ConvParams& p, int vk);
 
 /// Pack one input window: [c4][R][rowbytes] with every byte XORed with
 /// 0x80 (u - 128 as s8). Spatial padding and the c >= C channel lanes
@@ -195,37 +183,6 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
   }
 }
 
-std::shared_ptr<const Int8Conv::PackedFilter> i8_pack_filter(
-    const std::int8_t* filter, const ConvParams& p, int vk) {
-  const std::int64_t c4 = (p.C + 3) / 4;
-  const std::int64_t kb_count = (p.K + vk - 1) / vk;
-  const std::int64_t rs = std::int64_t{p.R} * p.S;
-  const std::int64_t crs = std::int64_t{p.C} * rs;
-  const std::int64_t tile = c4 * rs * vk * 4;  // bytes per kb
-  auto pf = std::make_shared<Int8Conv::PackedFilter>(
-      static_cast<std::size_t>(kb_count * tile));
-  pf->key = filter;
-  pf->data.fill_zero();
-  pf->rowsum.assign(static_cast<std::size_t>(p.K), 0);
-  for (int k = 0; k < p.K; ++k) {
-    const std::int64_t kb = k / vk, ki = k % vk;
-    std::int32_t sum = 0;
-    for (int c = 0; c < p.C; ++c) {
-      const std::int64_t g = c / 4, j = c % 4;
-      const std::int8_t* src = filter + k * crs + c * rs;
-      // dst tap (kb, g, r, s): vector byte ki*4 + j of the vk*4 block.
-      std::int8_t* dst =
-          pf->data.data() + kb * tile + g * rs * vk * 4 + ki * 4 + j;
-      for (std::int64_t e = 0; e < rs; ++e) {
-        dst[e * vk * 4] = src[e];
-        sum += src[e];
-      }
-    }
-    pf->rowsum[static_cast<std::size_t>(k)] = sum;
-  }
-  return pf;
-}
-
 }  // namespace
 
 Int8Conv::Int8Conv(const ConvParams& p, const Int8ConvOptions& opt)
@@ -240,35 +197,55 @@ Int8Conv::Int8Conv(const ConvParams& p, const Int8ConvOptions& opt)
   kres_ = resolve_int8_kernel(rb_.vw, rb_.vk, p_.S, p_.str, opt_.backend);
 }
 
-Int8Conv::~Int8Conv() = default;
-
 Int8Backend Int8Conv::backend() const {
   return kres_.fn != nullptr ? kres_.backend : Int8Backend::kScalar;
 }
 
-void Int8Conv::prepare_filter(const std::int8_t* filter) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (packed_ != nullptr && packed_->key == filter) return;
-  packed_ = i8_pack_filter(filter, p_, rb_.vk);
+Int8Conv::PackedFilter Int8Conv::pack_filter(
+    const std::int8_t* filter) const {
+  const int vk = rb_.vk;
+  const std::int64_t c4 = (p_.C + 3) / 4;
+  const std::int64_t kb_count = (p_.K + vk - 1) / vk;
+  const std::int64_t rs = std::int64_t{p_.R} * p_.S;
+  const std::int64_t crs = std::int64_t{p_.C} * rs;
+  const std::int64_t tile = c4 * rs * vk * 4;  // bytes per kb
+  PackedFilter pf;
+  pf.data.reset(static_cast<std::size_t>(kb_count * tile));
+  pf.data.fill_zero();
+  pf.rowsum.assign(static_cast<std::size_t>(p_.K), 0);
+  for (int k = 0; k < p_.K; ++k) {
+    const std::int64_t kb = k / vk, ki = k % vk;
+    std::int32_t sum = 0;
+    for (int c = 0; c < p_.C; ++c) {
+      const std::int64_t g = c / 4, j = c % 4;
+      const std::int8_t* src = filter + k * crs + c * rs;
+      // dst tap (kb, g, r, s): vector byte ki*4 + j of the vk*4 block.
+      std::int8_t* dst =
+          pf.data.data() + kb * tile + g * rs * vk * 4 + ki * 4 + j;
+      for (std::int64_t e = 0; e < rs; ++e) {
+        dst[e * vk * 4] = src[e];
+        sum += src[e];
+      }
+    }
+    pf.rowsum[static_cast<std::size_t>(k)] = sum;
+  }
+  return pf;
 }
 
 void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
                    const std::int8_t* filter, const Int8Epilogue& ep,
+                   const Int8Output& out, Int8RunStats* stats) const {
+  run(input, in_zero_point, pack_filter(filter), ep, out, stats);
+}
+
+void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
+                   const PackedFilter& filter, const Int8Epilogue& ep,
                    const Int8Output& out, Int8RunStats* stats) const {
   if ((out.i32 != nullptr) + (out.s8 != nullptr) + (out.f32 != nullptr) !=
       1) {
     throw std::invalid_argument(
         "Int8Conv::run: set exactly one of Int8Output::i32/s8/f32");
   }
-  std::shared_ptr<const PackedFilter> pf;
-  if (opt_.cache_packed_filter) {
-    prepare_filter(filter);
-    std::lock_guard<std::mutex> lock(mu_);
-    pf = packed_;
-  } else {
-    pf = i8_pack_filter(filter, p_, rb_.vk);
-  }
-
   const int vw = rb_.vw, vk = rb_.vk;
   const I8ExecShape ex = i8_exec_shape(p_);
   const int packw = (vw - 1) * p_.str + p_.S;
@@ -277,17 +254,23 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
   const std::int64_t kb_count = (p_.K + vk - 1) / vk;
   const std::int64_t ftile_stride =
       static_cast<std::int64_t>(c4) * p_.R * p_.S * vk * 4;
+  if (filter.rowsum.size() != static_cast<std::size_t>(p_.K) ||
+      filter.data.size() !=
+          static_cast<std::size_t>(kb_count * ftile_stride)) {
+    throw std::invalid_argument("Int8Conv::run: filter was not packed for " +
+                                p_.to_string() + " at this block");
+  }
   const std::int64_t k_stride = std::int64_t{ex.P} * ex.Q;
   const auto border =
       static_cast<std::int8_t>(static_cast<unsigned>(in_zero_point) ^
                                0x80u);
 
-  // comp[k] = (128 - zp) * sum(w_k): rowsum is cached at pack time, the
+  // comp[k] = (128 - zp) * sum(w_k): rowsum is recorded at pack time, the
   // zero point arrives per run.
   std::vector<std::int32_t> comp(static_cast<std::size_t>(p_.K));
   for (int k = 0; k < p_.K; ++k) {
     comp[static_cast<std::size_t>(k)] =
-        (128 - in_zero_point) * pf->rowsum[static_cast<std::size_t>(k)];
+        (128 - in_zero_point) * filter.rowsum[static_cast<std::size_t>(k)];
   }
 
   // One tile per Vw-wide output window: the body packs the window once
@@ -343,7 +326,7 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
             const std::int64_t kv = kb * vk;
             const int kn =
                 static_cast<int>(std::min<std::int64_t>(vk, p_.K - kv));
-            a.ftile = pf->data.data() + kb * ftile_stride;
+            a.ftile = filter.data.data() + kb * ftile_stride;
             if (fn != nullptr) {
               fn(a);
             } else {

@@ -13,11 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/quantized_microkernel.h"
+#include "runtime/aligned_buffer.h"
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
@@ -95,39 +94,44 @@ struct Int8ConvOptions {
   /// (kDot on ASIMDDP unless NDIRECT_FORCE_NO_DOTPROD is set).
   Int8Backend backend = int8_preferred_backend();
   ThreadPool* pool = nullptr;  ///< nullptr = ThreadPool::global()
-  /// Reuse the packed filter across run() calls keyed by the filter
-  /// pointer (mirrors the fp32 engine's packed-filter cache).
-  bool cache_packed_filter = true;
   /// Per-run telemetry sink, as NdirectOptions::telemetry: overwritten
   /// by every run() with its per-worker counters and wall time.
   TelemetrySnapshot* telemetry = nullptr;
 };
 
-/// The int8 direct-convolution engine. Holds the conv geometry, the
-/// resolved micro-kernel, and the packed-filter cache; run() is
-/// re-entrant and const.
+/// The int8 direct-convolution engine. Holds the conv geometry and the
+/// resolved micro-kernel, never weights; run() is re-entrant and const.
 class Int8Conv {
  public:
-  struct PackedFilter;  ///< opaque packed-filter cache entry
+  /// A filter in the engine's tiled layout, built by pack_filter() and
+  /// owned by the caller: [kb][c4][R][S][vk][4] s8 (K zero-padded to
+  /// vk, C to 4) plus per-k tap sums (the zero-point compensation base).
+  struct PackedFilter {
+    AlignedBuffer<std::int8_t> data;
+    std::vector<std::int32_t> rowsum;  ///< K: sum of filter k's s8 taps
+  };
 
   explicit Int8Conv(const ConvParams& p, const Int8ConvOptions& opt = {});
-  ~Int8Conv();
-  Int8Conv(const Int8Conv&) = delete;
-  Int8Conv& operator=(const Int8Conv&) = delete;
 
   const ConvParams& params() const { return p_; }
   RegisterBlock block() const { return rb_; }
   /// Backend the resolved kernel will use (kScalar = generic fallback).
   Int8Backend backend() const;
 
-  /// Pack `filter` (KCRS s8) into the tiled layout and record per-k
-  /// row sums (the zero-point compensation base). Implicit on first
-  /// run(); call ahead of time to move the cost out of the hot path.
-  void prepare_filter(const std::int8_t* filter) const;
+  /// Pack `filter` (KCRS s8) into the tiled layout and record the per-k
+  /// row sums. The op that owns the weights packs once and passes the
+  /// result to every run().
+  PackedFilter pack_filter(const std::int8_t* filter) const;
 
   /// u8 NCHW input -> epilogue-selected output. `in_zero_point` is the
   /// activation zero point in [0, 255]. Throws std::invalid_argument
-  /// unless exactly one Int8Output pointer is set.
+  /// unless exactly one Int8Output pointer is set, or when `filter` was
+  /// not packed for this engine's shape and block.
+  void run(const std::uint8_t* input, int in_zero_point,
+           const PackedFilter& filter, const Int8Epilogue& ep,
+           const Int8Output& out, Int8RunStats* stats = nullptr) const;
+
+  /// As above on a KCRS s8 filter, packed afresh on every call.
   void run(const std::uint8_t* input, int in_zero_point,
            const std::int8_t* filter, const Int8Epilogue& ep,
            const Int8Output& out, Int8RunStats* stats = nullptr) const;
@@ -137,8 +141,6 @@ class Int8Conv {
   Int8ConvOptions opt_;
   RegisterBlock rb_;
   I8KernelResolution kres_;
-  mutable std::shared_ptr<const PackedFilter> packed_;
-  mutable std::mutex mu_;
 };
 
 /// Convenience wrapper: quantize fp32 input (u8 asymmetric) and filter (s8 per-channel), convolve through

@@ -29,6 +29,23 @@ TensorShape shape_of(const Tensor& t) {
           static_cast<int>(t.dim(2)), static_cast<int>(t.dim(3))};
 }
 
+/// Content fingerprint of a weight tensor: the element count mixed with
+/// up to 64 values sampled evenly across it (a few cache lines per
+/// call — noise next to the convolution). A change slips through only
+/// if it keeps the size and every sampled bit pattern; the dirty flag
+/// of ConvOp::filter() remains the authoritative signal.
+std::uint64_t filter_fingerprint(const float* data, std::size_t n) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
+  const std::size_t samples = n < 64 ? n : 64;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const std::size_t idx = samples > 1 ? i * (n - 1) / (samples - 1) : 0;
+    std::uint32_t bits;
+    std::memcpy(&bits, data + idx, sizeof(bits));
+    h = (h ^ bits) * 0x100000001b3ull;
+  }
+  return h;
+}
+
 }  // namespace
 
 std::string TensorShape::to_string() const {
@@ -74,13 +91,6 @@ void ConvOp::set_backend(ConvBackend b) {
   engine_.reset();
 }
 
-void ConvOp::set_filter_cache(bool enabled) {
-  if (filter_cache_ == enabled) return;
-  filter_cache_ = enabled;
-  engine_.reset();  // the cache flag is baked into the engine's options
-  qengine_.reset();
-}
-
 void ConvOp::set_pool(ThreadPool* pool) {
   if (pool_ == pool) return;
   pool_ = pool;
@@ -114,34 +124,39 @@ TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
 }
 
 void ConvOp::set_quantized(bool on) {
+  if (quantized_ == on) return;
   quantized_ = on;
-  if (!on) {
-    qengine_.reset();
-    qfilter_ready_ = false;
-  }
+  packed_ = Tensor();
+  qpacked_ = {};
+}
+
+bool ConvOp::repack_needed(bool have_packed) const {
+  const std::uint64_t fp = filter_fingerprint(filter_.data(), filter_.size());
+  if (have_packed && !filter_dirty_ && fp == packed_fingerprint_)
+    return false;
+  filter_dirty_ = false;
+  packed_fingerprint_ = fp;
+  return true;
 }
 
 Tensor ConvOp::quantized_forward(const Tensor& x) const {
   if (!qengine_) {
     Int8ConvOptions qopts;
     qopts.pool = pool_;
-    qopts.cache_packed_filter = filter_cache_;
     qopts.telemetry = telemetry_;
     qengine_ = std::make_unique<Int8Conv>(params_, qopts);
   }
-  if (filter_dirty_ || !qfilter_ready_) {
-    // Re-quantize the (possibly rescaled) weights; the fresh values
-    // vector re-keys the engine's packed-filter cache automatically.
-    qfilter_ = quantize_filter_i8(filter_.data(), params_);
-    qfilter_ready_ = true;
-    filter_dirty_ = false;
+  if (repack_needed(!qpacked_.rowsum.empty())) {
+    QuantizedFilterI8 q = quantize_filter_i8(filter_.data(), params_);
+    qpacked_ = qengine_->pack_filter(q.values.data());
+    qscales_ = std::move(q.scales);
   }
   const QuantizedActivation qx = quantize_activation_u8(
       x.data(), static_cast<std::size_t>(params_.input_elems()));
   qdequant_.resize(static_cast<std::size_t>(params_.K));
   for (int k = 0; k < params_.K; ++k) {
     qdequant_[static_cast<std::size_t>(k)] =
-        qx.scale * qfilter_.scales[static_cast<std::size_t>(k)];
+        qx.scale * qscales_[static_cast<std::size_t>(k)];
   }
   Int8Epilogue epi;
   epi.dequant_scale = qdequant_.data();
@@ -151,8 +166,8 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
              Layout::NCHW);
   Int8Output dst;
   dst.f32 = out.data();
-  qengine_->run(qx.values.data(), qx.zero_point, qfilter_.values.data(),
-                epi, dst, &qstats_);
+  qengine_->run(qx.values.data(), qx.zero_point, qpacked_, epi, dst,
+                &qstats_);
   return out;
 }
 
@@ -163,28 +178,23 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
     case ConvBackend::Ndirect: {
       if (quantized_) return quantized_forward(x);
       if (!engine_) {
-        // Inference configuration: persistent scratch arenas plus the
-        // packed-filter cache, so steady-state forward passes allocate
-        // nothing and never re-run the filter transform.
+        // Inference configuration: persistent scratch arenas (the
+        // default) plus the weights packed below, so steady-state
+        // forward passes allocate nothing and never run the transform.
         NdirectOptions nopts;
-        nopts.cache_packed_filter = filter_cache_;
         nopts.pool = pool_;
         nopts.threads = worker_budget_;
         nopts.extra_stealers = extra_stealers_;
         nopts.telemetry = telemetry_;
         engine_ = std::make_unique<NdirectConv>(params_, nopts);
       }
-      if (filter_dirty_) {
-        // Weights were handed out mutably since the last forward (e.g.
-        // fold_batchnorm); drop the packed copy before this run.
-        engine_->invalidate_filter_cache();
-        filter_dirty_ = false;
-      }
+      if (repack_needed(packed_.size() != 0))
+        packed_ = engine_->pack_filter(filter_.data());
       // Bias and fused ReLU ride the store epilogue: zero extra passes.
       ConvEpilogue epi;
       epi.bias = bias_.empty() ? nullptr : bias_.data();
       epi.relu = fused_relu_;
-      out = engine_->run(x, filter_, epi);
+      out = engine_->run(x, packed_, epi);
       return out;
     }
     case ConvBackend::Im2colGemm:

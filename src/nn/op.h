@@ -72,28 +72,24 @@ class ConvOp final : public Op {
 
   /// Run this convolution through the int8 path (DESIGN.md §14):
   /// activations are quantized u8 asymmetric per forward, weights s8
-  /// symmetric per output channel (re-quantized whenever the filter is
-  /// marked dirty), and the fp32 output is produced by the per-channel
-  /// dequantize epilogue with the op's bias and fused ReLU — so the
-  /// graph topology and every downstream op are unchanged. Only the
-  /// Ndirect backend; other backends ignore the flag.
+  /// symmetric per output channel (quantized and packed once, like the
+  /// fp32 weights — see filter()), and the fp32 output is produced by
+  /// the per-channel dequantize epilogue with the op's bias and fused
+  /// ReLU — so the graph topology and every downstream op are
+  /// unchanged. Only the Ndirect backend; other backends ignore the
+  /// flag.
   void set_quantized(bool on);
   bool quantized() const { return quantized_; }
   /// Stats of the most recent quantized forward (backend actually used,
   /// generic-fallback tile count).
   const Int8RunStats& quantized_stats() const { return qstats_; }
 
-  /// Cache the packed filter inside the Ndirect engine (on by default:
-  /// graph inference packs each layer's weights exactly once). Off
-  /// restores the seed's transform-per-forward behaviour for A/B
-  /// benching of the fixed overhead.
-  void set_filter_cache(bool enabled);
-  bool filter_cache() const { return filter_cache_; }
-
   /// Dispatch the Ndirect backend on `pool` instead of the global pool.
   /// The graph executor points every conv of a graph at one shared pool
   /// so concurrent branches cooperate on the same workers instead of
   /// oversubscribing the machine. nullptr restores the global pool.
+  /// This and the next two setters re-plan the engine but keep the
+  /// packed weights.
   void set_pool(ThreadPool* pool);
 
   /// Seed the Ndirect engine's PTn x PTk grid with `budget` threads
@@ -117,15 +113,16 @@ class ConvOp final : public Op {
   void set_telemetry(TelemetrySnapshot* sink);
   TelemetrySnapshot* telemetry() const { return telemetry_; }
 
-  /// Mutable access marks the filter dirty; the next forward()
-  /// invalidates the engine's packed-filter cache — the graph passes
-  /// (e.g. fold_batchnorm) scale weights in place. Deferring to
-  /// forward() means any number of accesses between two forwards cost
-  /// one re-pack, not one each. Hazard: a retained Tensor& mutated
-  /// after a later forward() bypasses the flag (the engine's sampled
-  /// content fingerprint usually still catches it, but is best-effort)
-  /// — re-take filter() before each round of mutation, and use the
-  /// const overload for pure reads so nothing re-packs at all.
+  /// The Ndirect backend runs on weights this op packed itself (fp32
+  /// KPacked, or quantized s8 in the int8 layout): packed on the first
+  /// forward and re-packed only when the weights changed. Mutable
+  /// access marks the filter dirty — the graph passes (e.g.
+  /// fold_batchnorm) scale weights in place — and any number of
+  /// accesses between two forwards cost one re-pack. A retained
+  /// Tensor& mutated after a later forward bypasses the flag; the
+  /// sampled content fingerprint checked on every forward catches that
+  /// on both paths, but it is best-effort, so re-take filter() before
+  /// each round of mutation, and use the const overload for pure reads.
   Tensor& filter() {
     filter_dirty_ = true;
     return filter_;
@@ -135,6 +132,10 @@ class ConvOp final : public Op {
 
  private:
   Tensor quantized_forward(const Tensor& x) const;
+  /// True when the packed weights of the running path must be rebuilt:
+  /// `have_packed` is false, the filter went dirty, or its fingerprint
+  /// moved. Records the current fingerprint and clears the flag.
+  bool repack_needed(bool have_packed) const;
 
   ConvParams params_;
   ConvBackend backend_;
@@ -143,22 +144,24 @@ class ConvOp final : public Op {
   Schedule schedule_{};
   bool has_schedule_ = false;
   bool fused_relu_ = false;
-  bool filter_cache_ = true;
   ThreadPool* pool_ = nullptr;  ///< nullptr = global pool
   int worker_budget_ = 0;       ///< 0 = whole pool
   int extra_stealers_ = 0;
   TelemetrySnapshot* telemetry_ = nullptr;  ///< nullptr = no collection
   /// Set by the mutable filter() accessor, consumed by forward().
   mutable bool filter_dirty_ = false;
-  // Planned engine for the Ndirect backend (lazy, shape is fixed).
+  /// filter_fingerprint of filter_ when the packed weights were built.
+  mutable std::uint64_t packed_fingerprint_ = 0;
+  // Planned engine for the Ndirect backend (lazy, shape is fixed), and
+  // the weights it runs on. Only the running path (fp32 or int8) holds
+  // packed weights; set_quantized drops them.
   mutable std::unique_ptr<NdirectConv> engine_;
-  // Int8 path state (lazy; rebuilt when the pool or telemetry sink
-  // changes, re-quantized when the filter goes dirty).
+  mutable Tensor packed_;  ///< KPacked fp32 filter; empty until packed
   bool quantized_ = false;
   mutable std::unique_ptr<Int8Conv> qengine_;
-  mutable QuantizedFilterI8 qfilter_;
+  mutable Int8Conv::PackedFilter qpacked_;  ///< empty until packed
+  mutable std::vector<float> qscales_;      ///< K: s8 filter scales
   mutable std::vector<float> qdequant_;  ///< K: in_scale * w_scale[k]
-  mutable bool qfilter_ready_ = false;
   mutable Int8RunStats qstats_;
 };
 

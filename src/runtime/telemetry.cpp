@@ -39,7 +39,6 @@ const char* counter_name(Counter c) {
     case Counter::kTransformNs: return "transform_ns";
     case Counter::kMicrokernelNs: return "microkernel_ns";
     case Counter::kEpilogueNs: return "epilogue_ns";
-    case Counter::kCacheHits: return "cache_hits";
     case Counter::kGenericFallback: return "generic_fallback";
     case Counter::kPmuCycles: return "pmu_cycles";
     case Counter::kPmuInstructions: return "pmu_instructions";

@@ -40,7 +40,6 @@ enum class Counter : int {
   kEpilogueNs,         ///< unfused epilogue passes (reserved: the
                        ///< Ndirect store epilogue is folded into the
                        ///< micro-kernel and costs no separate phase)
-  kCacheHits,          ///< packed-filter cache hits serving this run
   kGenericFallback,    ///< micro-kernel calls that fell back to the
                        ///< runtime-loop generic kernel (un-specialized
                        ///< block — the tuning-gap signal; 0 when every
@@ -62,7 +61,7 @@ enum class Counter : int {
   kPmuPackL1DMisses,   ///< L1D misses inside pack_window calls
   kPmuMicroL1DMisses,  ///< L1D misses in the compute/fused remainder
 };
-inline constexpr int kCounterCount = 17;
+inline constexpr int kCounterCount = 16;
 
 /// Stable snake_case name used in JSON exports and reports.
 const char* counter_name(Counter c);

@@ -63,7 +63,7 @@ class PhaseTimer {
 
   /// Number of add() calls recorded for a phase (0 if never seen).
   /// Distinguishes "phase ran fast" from "phase never ran" — e.g. the
-  /// packed-filter cache must drive the "transform" count to zero on
+  /// packed weights must drive the "transform" count to zero on
   /// steady-state inference calls.
   long count(const std::string& name) const {
     std::lock_guard<std::mutex> lock(mutex_);

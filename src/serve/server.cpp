@@ -39,8 +39,9 @@ ServerOptions normalized(ServerOptions o) {
   return o;
 }
 
-/// One zero-input forward so the graph plans its engines and fills its
-/// packed-filter caches before real traffic (and real timing) hits it.
+/// One zero-input forward, run on every graph the server builds, so the
+/// graph plans its engines and every conv op packs its weights before
+/// real traffic (and real timing) hits it.
 void warm_graph(Graph& g) {
   const TensorShape s = g.shape_of(0);
   Tensor zero({s.N, s.C, s.H, s.W}, Layout::NCHW);
@@ -62,8 +63,8 @@ Server::Server(GraphFactory factory, ServerOptions options)
   if (!factory_)
     throw std::invalid_argument("serve::Server: null GraphFactory");
   // Visible to the admin plane from here on: /readyz answers 503
-  // ("warming") for this server while the probe build and packed-
-  // filter warm-up below are still running.
+  // ("warming") for this server while the probe build and its weight-
+  // packing warm-up below are still running.
   register_live_server(this);
   try {
     // Build the batch-1 instance eagerly: it defines the accepted input
@@ -83,7 +84,7 @@ Server::Server(GraphFactory factory, ServerOptions options)
       owned_model_ = std::make_unique<GraphLatencyModel>(*probe);
       model_ = owned_model_.get();
     }
-    if (options_.warmup) warm_graph(*probe);
+    warm_graph(*probe);
     {
       std::lock_guard<std::mutex> g(graphs_mu_);
       free_graphs_[1].push_back(std::move(probe));
@@ -430,7 +431,7 @@ std::unique_ptr<Graph> Server::acquire_graph(int batch) {
         ") built input " + got.to_string() + ", expected " +
         want.to_string());
   graph->set_conv_pool(pool_);
-  if (options_.warmup) warm_graph(*graph);
+  warm_graph(*graph);
   return graph;
 }
 

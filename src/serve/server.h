@@ -4,7 +4,7 @@
 // A Server owns a pool of per-batch-size Graph instances built by one
 // GraphFactory (same seed => same weights, so any batch size computes
 // the same function) that all dispatch onto one shared ThreadPool and
-// keep their packed filters cached after a warm-up forward. Incoming
+// pack their weights in a warm-up forward when built. Incoming
 // single-image requests flow through:
 //
 //   submit() --admission--> RequestQueue --batch plan--> executor lane
@@ -49,7 +49,7 @@ namespace ndirect::serve {
 using GraphFactory = std::function<std::unique_ptr<Graph>(int batch)>;
 
 /// Lifecycle a readiness probe (serve/admin.h's /readyz) can observe.
-/// kWarming covers construction — graph builds and the packed-filter
+/// kWarming covers construction — graph builds and the weight-packing
 /// warm-up forward; kReady means the executor lanes are accepting;
 /// kDraining begins at shutdown() entry; kStopped once the lanes have
 /// joined. Only kReady answers a readiness probe with 200.
@@ -77,9 +77,6 @@ struct ServerOptions {
   bool admission_control = true;
   /// EWMA-calibrate the latency model from measured batch wall times.
   bool calibrate = true;
-  /// Run one zero-input forward when a graph instance is built, so its
-  /// packed-filter caches are warm before real traffic hits it.
-  bool warmup = true;
   Clock* clock = nullptr;         ///< nullptr = RealClock::instance()
   /// Batch latency model for admission/sizing. nullptr = the server
   /// builds a GraphLatencyModel on the probed host platform (first
@@ -188,8 +185,8 @@ class Server {
   std::uint64_t now_ns() const { return clock_->now_ns(); }
   /// Evidence for SLO breach attribution: overall measured/predicted
   /// ratio, the model's EWMA calibration scale (0 when the model has
-  /// none), and the count of cold graph builds (each one repacks the
-  /// filter cache for a new batch size).
+  /// none), and the count of cold graph builds (each one packs its
+  /// weights in a warm-up forward for a new batch size).
   SloEvidence slo_evidence() const;
   /// This server's registry handles; nullptr when options.observe is
   /// false. Histogram snapshots answer p50/p95/p99 queries.

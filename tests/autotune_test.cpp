@@ -6,10 +6,7 @@
 
 #include "autotune/cost_model.h"
 #include "autotune/space.h"
-#include "autotune/registry.h"
 #include "autotune/tuner.h"
-
-#include <fstream>
 #include "baselines/naive_conv.h"
 #include "tensor/compare.h"
 #include "tensor/rng.h"
@@ -222,86 +219,6 @@ TEST(Tuner, TunedResultRunsCorrectly) {
   const Tensor ref = naive_conv_nchw(in, f, kShape);
   const Tensor out = tuned_conv(in, f, kShape, r.best, 1);
   EXPECT_TRUE(allclose(out, ref));
-}
-
-// ----------------------------------------------------------------------
-// Schedule registry
-// ----------------------------------------------------------------------
-
-TEST(Registry, PutFindRoundTrip) {
-  ScheduleRegistry reg;
-  EXPECT_TRUE(reg.empty());
-  const Schedule s{.vw = 12, .vk = 8, .tc = 8, .tk = 16, .th = 4,
-                   .ptn = 1};
-  reg.put(kShape, {s, 12.5, 1});
-  ASSERT_TRUE(reg.find(kShape).has_value());
-  EXPECT_EQ(reg.find(kShape)->schedule, s);
-  EXPECT_DOUBLE_EQ(reg.find(kShape)->gflops, 12.5);
-  ConvParams other = kShape;
-  other.K += 8;
-  EXPECT_FALSE(reg.find(other).has_value());
-}
-
-TEST(Registry, KeepBestRetainsFasterEntry) {
-  ScheduleRegistry reg;
-  const Schedule fast{.vw = 12, .vk = 8, .tc = 8, .tk = 16, .th = 4,
-                      .ptn = 1};
-  const Schedule slow{.vw = 4, .vk = 4, .tc = 1, .tk = 4, .th = 1,
-                      .ptn = 1};
-  reg.put(kShape, {fast, 20.0, 1});
-  reg.put(kShape, {slow, 5.0, 1});  // slower: ignored
-  EXPECT_EQ(reg.find(kShape)->schedule, fast);
-  reg.put(kShape, {slow, 30.0, 1});  // faster: replaces
-  EXPECT_EQ(reg.find(kShape)->schedule, slow);
-  reg.put(kShape, {fast, 1.0, 1}, /*keep_best=*/false);  // forced
-  EXPECT_EQ(reg.find(kShape)->schedule, fast);
-}
-
-TEST(Registry, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "ndirect_registry.txt";
-  ScheduleRegistry reg;
-  const Schedule s1{.vw = 12, .vk = 8, .tc = 8, .tk = 16, .th = 4,
-                    .ptn = 1, .aot_filter = true};
-  ConvParams p2 = kShape;
-  p2.K = 64;
-  const Schedule s2{.vw = 8, .vk = 4, .tc = 4, .tk = 8, .th = 2, .ptn = 2};
-  reg.put(kShape, {s1, 11.0, 1});
-  reg.put(p2, {s2, 7.5, 2});
-  ASSERT_TRUE(reg.save(path));
-
-  int skipped = -1;
-  const ScheduleRegistry loaded = ScheduleRegistry::load(path, &skipped);
-  EXPECT_EQ(skipped, 0);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.find(kShape)->schedule, s1);
-  EXPECT_TRUE(loaded.find(kShape)->schedule.aot_filter);
-  EXPECT_EQ(loaded.find(p2)->schedule, s2);
-  EXPECT_EQ(loaded.find(p2)->threads, 2);
-}
-
-TEST(Registry, MissingFileYieldsEmptyRegistry) {
-  int skipped = -1;
-  const ScheduleRegistry reg =
-      ScheduleRegistry::load("/nonexistent/registry.txt", &skipped);
-  EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(skipped, 0);
-}
-
-TEST(Registry, CorruptLinesAreSkippedNotFatal) {
-  const std::string path = ::testing::TempDir() + "ndirect_corrupt.txt";
-  {
-    std::ofstream out(path);
-    out << "# comment survives\n"
-        << "1 16 14 14 32 3 3 1 1 12 8 8 16 4 1 0 1 10.5\n"  // valid
-        << "garbage line\n"
-        << "1 16 14 14 32 3 3 1 1 13 8 8 16 4 1 0 1 9.0\n"   // vw=13 bad
-        << "1 16 14 14\n";                                    // truncated
-  }
-  int skipped = -1;
-  const ScheduleRegistry reg = ScheduleRegistry::load(path, &skipped);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(skipped, 3);
-  EXPECT_TRUE(reg.find(kShape).has_value());
 }
 
 }  // namespace

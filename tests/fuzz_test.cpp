@@ -233,8 +233,31 @@ TEST(ApiValidation, MismatchedTensorsThrow) {
   EXPECT_THROW((void)conv.run_nhwc(good_in, good_f),
                std::invalid_argument);
 
+  // A packed filter fits only the plan that packed it: another Vk for
+  // the same shape, or another K, is rejected rather than read, and a
+  // KCRS tensor is not a packed one.
+  NdirectOptions narrow, wide;
+  narrow.force_rb = {8, 4};
+  wide.force_rb = {8, 8};
+  const NdirectConv conv4(p, narrow);
+  const Tensor packed_vk8 = NdirectConv(p, wide).pack_filter(good_f.data());
+  Tensor out = make_output_nchw(1, 4, 8, 8);
+  EXPECT_THROW((void)conv4.run(good_in, packed_vk8), std::invalid_argument);
+  EXPECT_THROW(conv4.run_into(good_in.data(), packed_vk8, out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(conv4.run_into(good_in.data(), good_f, out.data()),
+               std::invalid_argument);
+  ConvParams pk = p;
+  pk.K = 8;
+  const Tensor packed_k8 = NdirectConv(pk, narrow).pack_filter(wrong_k.data());
+  EXPECT_THROW((void)conv4.run_nhwc(nchw_to_nhwc(good_in), packed_k8),
+               std::invalid_argument);
+
   // The happy path still works.
   EXPECT_NO_THROW((void)conv.run(good_in, good_f));
+  EXPECT_NO_THROW(conv4.run_into(good_in.data(),
+                                 conv4.pack_filter(good_f.data()),
+                                 out.data()));
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // Correctness tests for the nDirect engine and micro-kernels.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "baselines/naive_conv.h"
@@ -230,23 +228,25 @@ TEST_P(NdirectSweep, GenericKernelFallbackMatchesNaive) {
 }
 
 TEST_P(NdirectSweep, CachedFilterMatchesFreshBitExact) {
-  // Inference path: the packed-filter cache must change nothing about
-  // the arithmetic — cached-packed and fresh-packed (on-the-fly
-  // transform every call) results are bitwise identical, and the
-  // second cached run (pure cache hit) matches the first.
+  // Inference path: running on the pack_filter() tensor must change
+  // nothing about the arithmetic — packed and on-the-fly (transform
+  // every call) results are bitwise identical, through run() and the
+  // packed run_into() overload, and a repeat packed run matches too.
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 28);
-  NdirectOptions cached_opts;
-  cached_opts.cache_packed_filter = true;
-  const NdirectConv cached(p, cached_opts);
-  const NdirectConv fresh(p);
-  const Tensor a = cached.run(c.input, c.filter);  // packs into cache
-  const Tensor b = cached.run(c.input, c.filter);  // cache hit
-  const Tensor d = fresh.run(c.input, c.filter);
+  const NdirectConv conv(p);
+  const Tensor packed = conv.pack_filter(c.filter.data());
+  const Tensor a = conv.run(c.input, packed);
+  const Tensor b = conv.run(c.input, packed);
+  const Tensor d = conv.run(c.input, c.filter);
+  Tensor e = make_output_nchw(p.N, p.K, p.P(), p.Q());
+  conv.run_into(c.input.data(), packed, e.data());
   EXPECT_TRUE(allclose(a, b, 0.0, 0.0))
       << compare_tensors(a, b).to_string();
   EXPECT_TRUE(allclose(a, d, 0.0, 0.0))
       << compare_tensors(a, d).to_string();
+  EXPECT_TRUE(allclose(a, e, 0.0, 0.0))
+      << compare_tensors(a, e).to_string();
   EXPECT_TRUE(allclose(a, c.reference))
       << compare_tensors(a, c.reference).to_string();
 }
@@ -255,13 +255,11 @@ TEST_P(NdirectSweep, CachedFilterMatchesFreshBitExactNhwc) {
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 29);
   const Tensor input_nhwc = nchw_to_nhwc(c.input);
-  NdirectOptions cached_opts;
-  cached_opts.cache_packed_filter = true;
-  const NdirectConv cached(p, cached_opts);
-  const NdirectConv fresh(p);
-  const Tensor a = cached.run_nhwc(input_nhwc, c.filter);
-  const Tensor b = cached.run_nhwc(input_nhwc, c.filter);
-  const Tensor d = fresh.run_nhwc(input_nhwc, c.filter);
+  const NdirectConv conv(p);
+  const Tensor packed = conv.pack_filter(c.filter.data());
+  const Tensor a = conv.run_nhwc(input_nhwc, packed);
+  const Tensor b = conv.run_nhwc(input_nhwc, packed);
+  const Tensor d = conv.run_nhwc(input_nhwc, c.filter);
   EXPECT_TRUE(allclose(a, b, 0.0, 0.0))
       << compare_tensors(a, b).to_string();
   EXPECT_TRUE(allclose(a, d, 0.0, 0.0))
@@ -271,18 +269,16 @@ TEST_P(NdirectSweep, CachedFilterMatchesFreshBitExactNhwc) {
 }
 
 TEST_P(NdirectSweep, CachedFilterAgreesWithGenericReference)  {
-  // Third independent witness: the cached-packed result vs. the
-  // generic (non-specialized) kernel path. The generic kernel
-  // accumulates in the same order, so this too is bit-exact.
+  // Third independent witness: the packed-filter result vs. the generic
+  // (non-specialized) kernel on the on-the-fly transform. The generic
+  // kernel accumulates in the same order, so this too is bit-exact.
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 30);
-  NdirectOptions cached_opts;
-  cached_opts.cache_packed_filter = true;
-  const NdirectConv cached(p, cached_opts);
+  const NdirectConv conv(p);
   NdirectOptions generic_opts;
   generic_opts.generic_kernel_only = true;
   const NdirectConv generic(p, generic_opts);
-  const Tensor a = cached.run(c.input, c.filter);
+  const Tensor a = conv.run(c.input, conv.pack_filter(c.filter.data()));
   const Tensor g = generic.run(c.input, c.filter);
   EXPECT_TRUE(allclose(a, g, 0.0, 0.0))
       << compare_tensors(a, g).to_string();
@@ -290,130 +286,6 @@ TEST_P(NdirectSweep, CachedFilterAgreesWithGenericReference)  {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, NdirectSweep,
                          ::testing::ValuesIn(correctness_conv_shapes()));
-
-// ----------------------------------------------------------------------
-// Packed-filter cache lifecycle
-// ----------------------------------------------------------------------
-
-TEST(NdirectFilterCache, TransformsStopAfterFirstRun) {
-  const ConvParams p = quick_conv_shapes().front();
-  const CaseData c = make_case(p, 31);
-  NdirectOptions opts;
-  opts.cache_packed_filter = true;
-  const NdirectConv conv(p, opts);
-  (void)conv.run(c.input, c.filter);  // packs once
-  const std::uint64_t warm = transform_filter_tile_calls();
-  for (int i = 0; i < 5; ++i) (void)conv.run(c.input, c.filter);
-  EXPECT_EQ(transform_filter_tile_calls(), warm)
-      << "steady-state runs must not re-transform the filter";
-}
-
-TEST(NdirectFilterCache, PrepareWarmInvalidateCycle) {
-  const ConvParams p = quick_conv_shapes().front();
-  CaseData c = make_case(p, 32);
-  NdirectOptions opts;
-  opts.cache_packed_filter = true;
-  NdirectConv conv(p, opts);
-
-  EXPECT_FALSE(conv.filter_cache_warm(c.filter.data()));
-  const float* packed = conv.prepare_filter(c.filter.data());
-  EXPECT_NE(packed, nullptr);
-  EXPECT_TRUE(conv.filter_cache_warm(c.filter.data()));
-  // prepare_filter is idempotent and stable for the same weights.
-  EXPECT_EQ(conv.prepare_filter(c.filter.data()), packed);
-
-  // Mutate the weights in place (what fold_batchnorm does), invalidate,
-  // and check the next run uses the new values.
-  for (std::size_t i = 0; i < c.filter.size(); ++i)
-    c.filter.data()[i] *= 2.0f;
-  conv.invalidate_filter_cache();
-  EXPECT_FALSE(conv.filter_cache_warm(c.filter.data()));
-  const Tensor out = conv.run(c.input, c.filter);
-  const Tensor ref = naive_conv_nchw(c.input, c.filter, p);
-  EXPECT_TRUE(allclose(out, ref)) << compare_tensors(out, ref).to_string();
-  EXPECT_TRUE(conv.filter_cache_warm(c.filter.data()));
-}
-
-TEST(NdirectFilterCache, CacheIsKeyedByFilterPointer) {
-  const ConvParams p = quick_conv_shapes().front();
-  const CaseData c = make_case(p, 33);
-  Tensor other = make_filter_kcrs(p.K, p.C, p.R, p.S);
-  fill_random(other, 99);
-  NdirectOptions opts;
-  opts.cache_packed_filter = true;
-  const NdirectConv conv(p, opts);
-  (void)conv.run(c.input, c.filter);
-  EXPECT_TRUE(conv.filter_cache_warm(c.filter.data()));
-  EXPECT_FALSE(conv.filter_cache_warm(other.data()));
-  // A different weight tensor re-packs and computes correctly.
-  const Tensor out = conv.run(c.input, other);
-  const Tensor ref = naive_conv_nchw(c.input, other, p);
-  EXPECT_TRUE(allclose(out, ref)) << compare_tensors(out, ref).to_string();
-  EXPECT_TRUE(conv.filter_cache_warm(other.data()));
-}
-
-TEST(NdirectFilterCache, ConcurrentRunsWithDifferentFiltersAreSafe) {
-  // Two threads hammer the SAME engine (shared cache) with different
-  // weight tensors. Each filter pointer owns an immutable packed entry,
-  // so neither thread can overwrite a buffer the other is mid-read —
-  // every iteration must produce the correct result for its weights.
-  const ConvParams p = quick_conv_shapes().front();
-  const CaseData a = make_case(p, 36);
-  Tensor filter_b = make_filter_kcrs(p.K, p.C, p.R, p.S);
-  fill_random(filter_b, 98);
-  const Tensor ref_b = naive_conv_nchw(a.input, filter_b, p);
-  NdirectOptions opts;
-  opts.cache_packed_filter = true;
-  const NdirectConv conv(p, opts);
-
-  constexpr int kIters = 50;
-  std::atomic<int> mismatches{0};
-  auto hammer = [&](const Tensor& filter, const Tensor& ref) {
-    for (int i = 0; i < kIters; ++i) {
-      const Tensor out = conv.run(a.input, filter);
-      if (!allclose(out, ref)) mismatches.fetch_add(1);
-    }
-  };
-  std::thread t1(hammer, std::cref(a.filter), std::cref(a.reference));
-  std::thread t2(hammer, std::cref(filter_b), std::cref(ref_b));
-  t1.join();
-  t2.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(NdirectFilterCache, StaleContentsAtSameAddressAreRepacked) {
-  // Allocator address reuse (or in-place mutation without invalidate):
-  // the pointer key matches but the contents changed. The sampled
-  // content fingerprint must reject the stale entry and re-pack instead
-  // of silently serving the old weights.
-  const ConvParams p = quick_conv_shapes().front();
-  CaseData c = make_case(p, 37);
-  NdirectOptions opts;
-  opts.cache_packed_filter = true;
-  const NdirectConv conv(p, opts);
-  (void)conv.run(c.input, c.filter);  // packs the original weights
-  const std::uint64_t warm = transform_filter_tile_calls();
-  // A "different tensor" appears at the same address.
-  for (std::size_t i = 0; i < c.filter.size(); ++i)
-    c.filter.data()[i] = 0.25f - c.filter.data()[i];
-  const Tensor ref = naive_conv_nchw(c.input, c.filter, p);
-  const Tensor out = conv.run(c.input, c.filter);
-  EXPECT_GT(transform_filter_tile_calls(), warm)
-      << "a stale pointer hit must re-pack, not serve old weights";
-  EXPECT_TRUE(allclose(out, ref)) << compare_tensors(out, ref).to_string();
-  // The re-packed entry is warm: steady state transforms nothing.
-  const std::uint64_t repacked = transform_filter_tile_calls();
-  (void)conv.run(c.input, c.filter);
-  EXPECT_EQ(transform_filter_tile_calls(), repacked);
-}
-
-TEST(NdirectFilterCache, OffByDefaultAndNoopPrepare) {
-  const ConvParams p = quick_conv_shapes().front();
-  const CaseData c = make_case(p, 34);
-  const NdirectConv conv(p);  // cache_packed_filter defaults to false
-  EXPECT_EQ(conv.prepare_filter(c.filter.data()), nullptr);
-  EXPECT_FALSE(conv.filter_cache_warm(c.filter.data()));
-}
 
 // ----------------------------------------------------------------------
 // Scratch arena steady state: no heap growth inside run_nest workers
@@ -426,13 +298,13 @@ TEST(NdirectArena, SteadyStateRunsDoNotGrowScratch) {
   NdirectOptions opts;
   opts.pool = &pool;
   opts.threads = 3;
-  opts.cache_packed_filter = true;
   const NdirectConv conv(p, opts);
+  const Tensor packed = conv.pack_filter(c.filter.data());
   const std::uint64_t grows = scratch_grow_events();
-  (void)conv.run(c.input, c.filter);  // warm-up grows the arenas
+  (void)conv.run(c.input, packed);  // warm-up grows the arenas
   const std::uint64_t transforms = transform_filter_tile_calls();
   for (int i = 0; i < 10; ++i) {
-    const Tensor out = conv.run(c.input, c.filter);
+    const Tensor out = conv.run(c.input, packed);
     ASSERT_TRUE(allclose(out, c.reference));
   }
   // Claim-based dispatch makes the set of threads serving a given run

@@ -7,6 +7,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/filter_transform.h"
 #include "gemm/gemm.h"
 #include "nn/models.h"
 #include "nn/optimize.h"
@@ -20,6 +21,11 @@ Tensor random_input(int N, int C, int H, int W, std::uint64_t seed) {
   Tensor t = make_input_nchw(N, C, H, W);
   fill_random(t, seed);
   return t;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // ----------------------------------------------------------------------
@@ -262,6 +268,52 @@ TEST(Ops, ShapeMismatchesThrow) {
                std::invalid_argument);
   EXPECT_THROW(g.add(std::make_unique<AddOp>(), {0}),
                std::invalid_argument);  // wrong arity
+}
+
+TEST(Ops, ConvRepacksAfterRetainedFilterMutation) {
+  // A Tensor& taken from filter() before a forward and mutated in place
+  // after it bypasses the dirty flag. The op's content fingerprint must
+  // still repack, on the fp32 and on the int8 path: the result matches
+  // a fresh op built on the mutated weights, bit for bit.
+  const ConvParams p{.N = 1, .C = 8, .H = 10, .W = 10, .K = 12,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  const Tensor x = random_input(1, 8, 10, 10, 41);
+  for (const bool quantized : {false, true}) {
+    SCOPED_TRACE(quantized ? "int8" : "fp32");
+    ConvOp op(p, ConvBackend::Ndirect, 42, false);
+    op.set_quantized(quantized);
+    Tensor& f = op.filter();
+    (void)op.forward({&x});  // packs the original weights
+    for (std::size_t i = 0; i < f.size(); ++i) f[i] = 0.25f - f[i];
+    const Tensor got = op.forward({&x});
+
+    ConvOp fresh(p, ConvBackend::Ndirect, 42, false);
+    fresh.set_quantized(quantized);
+    std::memcpy(fresh.filter().data(), f.data(), f.size() * sizeof(float));
+    EXPECT_TRUE(bitwise_equal(got, fresh.forward({&x})));
+  }
+}
+
+TEST(Ops, ConvPackedWeightsSurviveEngineReplans) {
+  // set_worker_budget, set_pool and set_telemetry re-plan the engine but
+  // leave the weights alone, so none of them may repack the filter, and
+  // the output stays bitwise the same (any grid gives the same result).
+  const ConvParams p{.N = 1, .C = 8, .H = 10, .W = 10, .K = 12,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  const Tensor x = random_input(1, 8, 10, 10, 43);
+  ConvOp op(p, ConvBackend::Ndirect, 44, true);
+  const Tensor warm = op.forward({&x});
+  const std::uint64_t transforms = transform_filter_tile_calls();
+
+  ThreadPool pool(2);
+  TelemetrySnapshot sink;
+  op.set_worker_budget(1, 1);
+  op.set_pool(&pool);
+  op.set_telemetry(&sink);
+  const Tensor after = op.forward({&x});
+  EXPECT_EQ(transform_filter_tile_calls(), transforms)
+      << "an engine re-plan must not repack the weights";
+  EXPECT_TRUE(bitwise_equal(warm, after));
 }
 
 // ----------------------------------------------------------------------

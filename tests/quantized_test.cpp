@@ -596,6 +596,16 @@ TEST(Int8Conv, MalformedCallsThrow) {
   both.f32 = f32.data();
   EXPECT_THROW(conv.run(in.data(), 128, flt.data(), {}, both),
                std::invalid_argument);
+  // A filter packed for another shape is rejected, not read.
+  ConvParams wider = p;
+  wider.K = 8;
+  const auto flt8 =
+      random_s8(static_cast<std::size_t>(wider.filter_elems()), 101);
+  Int8Output one;
+  one.i32 = raw.data();
+  EXPECT_THROW(conv.run(in.data(), 128,
+                        Int8Conv(wider).pack_filter(flt8.data()), {}, one),
+               std::invalid_argument);
   // Invalid geometry is rejected at planning time.
   ConvParams bad = p;
   bad.str = 0;

@@ -245,7 +245,9 @@ TEST(EngineTelemetry, RuntimeDisableClearsSinkAndRecordsNothing) {
   EXPECT_EQ(snap.wall_seconds, 0.0);
 }
 
-TEST(EngineTelemetry, FilterCacheHitCounted) {
+TEST(EngineTelemetry, PackedFilterRunRecordsNoTransform) {
+  // A run on a pack_filter() tensor is identified by transform_ns == 0:
+  // the loop nest has no filter tile to transform.
   if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const ConvParams p = medium_conv();
   const ConvData d = make_data(p, 11);
@@ -253,13 +255,11 @@ TEST(EngineTelemetry, FilterCacheHitCounted) {
   TelemetrySnapshot snap;
   NdirectOptions opts;
   opts.threads = 2;
-  opts.cache_packed_filter = true;
   opts.telemetry = &snap;
   const NdirectConv conv(p, opts);
-  (void)conv.run(d.input, d.filter);
-  EXPECT_EQ(snap.total(Counter::kCacheHits), 0u);  // cold pack
-  (void)conv.run(d.input, d.filter);
-  EXPECT_EQ(snap.total(Counter::kCacheHits), 1u);  // warm hit
+  (void)conv.run(d.input, conv.pack_filter(d.filter.data()));
+  EXPECT_GT(snap.total(Counter::kTilesClaimed), 0u);
+  EXPECT_EQ(snap.total(Counter::kTransformNs), 0u);
 }
 
 // ----------------------------------------------------------------------
