@@ -76,7 +76,7 @@ Result run_case(int batch, ThreadPool& pool, const BenchConfig& cfg) {
   const double flops = static_cast<double>(g->conv_flops());
 
   GraphRunOptions seq;
-  seq.concurrent = false;
+  seq.runners = 1;
 
   Result r;
   // Identity first: concurrent must be bitwise-equal to sequential.

@@ -1,10 +1,14 @@
 // End-to-end CNN inference with the graph executor: build ResNet-50,
-// fold BatchNorm into the convolutions, and compare the conv backends
-// on the same weights — the workflow behind the paper's Fig. 7.
+// fold BatchNorm and ReLU into the convolutions, and compare the conv
+// backends on the same weights — the workflow behind the paper's Fig. 7.
+// Exits 1 if the passes change the output beyond FP32 rounding.
 //
 //   $ ./examples/resnet_inference            # reduced model, fast
 //   $ NDIRECT_EXAMPLE_FULL=1 ./examples/resnet_inference
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "nn/models.h"
@@ -35,24 +39,48 @@ int main() {
                                  opts.image_size);
   fill_random(image, 7);
 
-  // Fold inference BatchNorm into the conv weights (the fusion
-  // extension of Section 10) — results are unchanged, batchnorm cost
-  // disappears.
-  const Tensor before_fold = net->run(image);
+  // Fold inference BatchNorm into the conv weights and fuse each
+  // conv's ReLU into its store epilogue (the fusion extension of
+  // Section 10): the folded nodes leave the graph, results are unchanged.
+  const Tensor before = net->run(image);
+  const int nodes_before = net->node_count();
   const int folded = fold_batchnorm(*net);
-  const Tensor after_fold = net->run(image);
-  std::printf("folded %d BatchNorm ops into conv weights (outputs %s)\n",
-              folded,
-              allclose(before_fold, after_fold, 1e-3, 1e-3) ? "unchanged"
-                                                            : "DIFFER!");
+  const int fused = fuse_conv_relu(*net);
+  const Tensor after = net->run(image);
+  // Relative per element: with random weights the softmax is nearly
+  // uniform (every probability within ~1e-3 of 1/1000), so an absolute
+  // bound would pass almost any output.
+  const bool unchanged = allclose(before, after, 1e-3, 0.0);
+  std::printf("folded %d BatchNorm and fused %d ReLU ops into convs: "
+              "%d -> %d graph nodes (outputs %s)\n",
+              folded, fused, nodes_before, net->node_count(),
+              unchanged ? "unchanged" : "DIFFER");
+  if (!unchanged) {
+    std::fprintf(stderr, "error: the graph passes changed the output: %s\n",
+                 compare_tensors(before, after).to_string().c_str());
+    return 1;
+  }
 
-  // Per-op-type time breakdown with the nDirect backend.
-  PhaseTimer profile;
-  (void)net->run_profiled(image, profile);
-  std::printf("\nper-op time with the ndirect backend:\n");
-  for (const auto& [op, seconds] : profile.phases()) {
-    std::printf("  %-10s %7.2f ms (%4.1f%%)\n", op.c_str(), seconds * 1e3,
-                100 * seconds / profile.total());
+  // Per-op-type time breakdown with the nDirect backend, summed from
+  // the run's per-node record. Overlapping branches make the sum exceed
+  // the wall time.
+  GraphRunStats stats;
+  GraphRunOptions record;
+  record.stats = &stats;
+  (void)net->run(image, record);
+  std::map<std::string, std::uint64_t> op_ns;
+  std::uint64_t total_ns = 0;
+  for (const NodeRun& row : stats.nodes) {
+    op_ns[net->op_of(row.id)->name()] += row.end_ns - row.start_ns;
+    total_ns += row.end_ns - row.start_ns;
+  }
+  std::printf("\nper-op time with the ndirect backend (%d runners):\n",
+              stats.runners);
+  for (const auto& [op, ns] : op_ns) {
+    std::printf("  %-10s %7.2f ms (%4.1f%%)\n", op.c_str(),
+                static_cast<double>(ns) * 1e-6,
+                100.0 * static_cast<double>(ns) /
+                    static_cast<double>(total_ns));
   }
 
   // Swap the conv backend in place and compare end-to-end latency.

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/threading.h"
+#include "runtime/telemetry.h"
 #include "runtime/trace.h"
 
 namespace ndirect {
@@ -30,8 +31,12 @@ NodeId Graph::add(std::unique_ptr<Op> op, std::vector<NodeId> inputs) {
   node.shape = op->infer(in_shapes);
   node.op = std::move(op);
   node.inputs = std::move(inputs);
+  output_ = node_count();
+  for (NodeId in : node.inputs) {
+    nodes_[static_cast<std::size_t>(in)].consumers.push_back(output_);
+  }
   nodes_.push_back(std::move(node));
-  return node_count() - 1;
+  return output_;
 }
 
 std::vector<std::vector<NodeId>> Graph::levels() const {
@@ -105,60 +110,19 @@ void Graph::plan_concurrency(int workers) {
   }
 }
 
-Tensor Graph::run_sequential(const Tensor& input,
-                             const GraphRunOptions& opts) const {
-  std::vector<Tensor> values(nodes_.size());
-  values[0] = input.clone();
-  if (opts.stats != nullptr) {
-    *opts.stats = {};
-    opts.stats->runners = 1;
-    opts.stats->max_inflight = 1;
-    opts.stats->completion_order.reserve(nodes_.size() - 1);
-  }
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    std::vector<const Tensor*> args;
-    args.reserve(node.inputs.size());
-    for (NodeId id : node.inputs) {
-      args.push_back(&values[static_cast<std::size_t>(id)]);
-    }
-    if (trace_on())
-      TraceSession::global().begin(node.op->name(), "node",
-                                   static_cast<std::int64_t>(i));
-    if (opts.timer != nullptr) {
-      WallTimer t;
-      values[i] = node.op->forward(args);
-      opts.timer->add(node.op->name(), t.seconds());
-    } else {
-      values[i] = node.op->forward(args);
-    }
-    if (trace_on()) TraceSession::global().end(node.op->name());
-    if (opts.stats != nullptr) {
-      opts.stats->completion_order.push_back(static_cast<NodeId>(i));
-    }
-  }
-  return std::move(values.back());
-}
-
-Tensor Graph::run_concurrent(const Tensor& input,
-                             const GraphRunOptions& opts,
-                             int runners) const {
+Tensor Graph::run(const Tensor& input, const GraphRunOptions& opts) const {
   const std::size_t n = nodes_.size();
+  const int runners =
+      std::min(opts.runners > 0 ? opts.runners : 8, max_width());
   // Slots are preallocated and never move; a slot is written exactly
   // once, by the runner that executes its node, strictly before the
   // completion is published under the mutex — so consumers (which only
-  // read inputs already in completion_order) race with nothing.
+  // read inputs already completed) race with nothing. Node 0's slot
+  // stays empty: its consumers read `input` itself.
   std::vector<Tensor> values(n);
-  values[0] = input.clone();
-
   std::vector<int> indeg(n, 0);
-  std::vector<std::vector<NodeId>> consumers(n);
   for (std::size_t i = 1; i < n; ++i) {
     indeg[i] = static_cast<int>(nodes_[i].inputs.size());
-    for (NodeId in : nodes_[i].inputs) {
-      consumers[static_cast<std::size_t>(in)].push_back(
-          static_cast<NodeId>(i));
-    }
   }
 
   std::mutex mutex;
@@ -167,17 +131,17 @@ Tensor Graph::run_concurrent(const Tensor& input,
   int remaining = static_cast<int>(n) - 1;
   int inflight = 0;
   int max_inflight = 0;
-  std::vector<NodeId> completion_order;
-  completion_order.reserve(n - 1);
+  std::vector<NodeRun> record;
+  if (opts.stats != nullptr) record.reserve(n - 1);
   std::exception_ptr error;
 
   // "Complete" the input node: its consumers with no other pending
   // inputs become the initial ready set.
-  for (NodeId c : consumers[0]) {
+  for (NodeId c : nodes_[0].consumers) {
     if (--indeg[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
   }
 
-  auto runner = [&] {
+  auto runner = [&](int runner_id) {
     std::unique_lock<std::mutex> lock(mutex);
     while (true) {
       cv.wait(lock, [&] {
@@ -194,20 +158,18 @@ Tensor Graph::run_concurrent(const Tensor& input,
       std::vector<const Tensor*> args;
       args.reserve(node.inputs.size());
       for (NodeId in : node.inputs) {
-        args.push_back(&values[static_cast<std::size_t>(in)]);
+        args.push_back(in == 0 ? &input
+                               : &values[static_cast<std::size_t>(in)]);
       }
+      NodeRun row{id, runner_id, 0, 0};
       Tensor out;
       try {
         if (trace_on())
           TraceSession::global().begin(node.op->name(), "node",
                                        static_cast<std::int64_t>(id));
-        if (opts.timer != nullptr) {
-          WallTimer t;
-          out = node.op->forward(args);
-          opts.timer->add(node.op->name(), t.seconds());
-        } else {
-          out = node.op->forward(args);
-        }
+        if (opts.stats != nullptr) row.start_ns = monotonic_ns();
+        out = node.op->forward(args);
+        if (opts.stats != nullptr) row.end_ns = monotonic_ns();
         if (trace_on()) TraceSession::global().end(node.op->name());
       } catch (...) {
         // Balance the span even on the error path so the exported
@@ -224,8 +186,8 @@ Tensor Graph::run_concurrent(const Tensor& input,
       lock.lock();
       --inflight;
       --remaining;
-      completion_order.push_back(id);
-      for (NodeId c : consumers[static_cast<std::size_t>(id)]) {
+      if (opts.stats != nullptr) record.push_back(row);
+      for (NodeId c : node.consumers) {
         if (--indeg[static_cast<std::size_t>(c)] == 0) {
           ready.push_back(c);
         }
@@ -239,7 +201,8 @@ Tensor Graph::run_concurrent(const Tensor& input,
   // Dedicated (cheap, short-lived) runner crew rather than pool tasks:
   // node bodies dispatch onto the ThreadPool themselves, and consuming
   // pool workers for graph bookkeeping would starve the conv gangs the
-  // runners are trying to keep busy. The caller is runner #0.
+  // runners are trying to keep busy. The caller is runner #0; with one
+  // runner it drains the ready set alone.
   std::vector<std::thread> crew;
   crew.reserve(static_cast<std::size_t>(runners) - 1);
   for (int i = 1; i < runners; ++i) {
@@ -249,12 +212,12 @@ Tensor Graph::run_concurrent(const Tensor& input,
       // lane registry run after run.
       if (trace_on())
         set_trace_lane_name("graph-runner-" + std::to_string(i));
-      runner();
+      runner(i);
     });
   }
-  // The caller is runner #0 but keeps its own lane identity (renaming
-  // the main thread's lane would mislabel everything it records later).
-  runner();
+  // The caller keeps its own lane identity (renaming the main thread's
+  // lane would mislabel everything it records later).
+  runner(0);
   for (auto& t : crew) t.join();
 
   if (error != nullptr) std::rethrow_exception(error);
@@ -262,29 +225,15 @@ Tensor Graph::run_concurrent(const Tensor& input,
     *opts.stats = {};
     opts.stats->runners = runners;
     opts.stats->max_inflight = max_inflight;
-    opts.stats->completion_order = std::move(completion_order);
+    opts.stats->nodes = std::move(record);
   }
-  return std::move(values.back());
-}
-
-Tensor Graph::run(const Tensor& input, const GraphRunOptions& opts) const {
-  const int width = max_width();
-  int runners = opts.runners > 0 ? opts.runners : std::min(width, 8);
-  if (!opts.concurrent || width <= 1 || runners <= 1 ||
-      nodes_.size() <= 2) {
-    return run_sequential(input, opts);
-  }
-  return run_concurrent(input, opts, runners);
-}
-
-Tensor Graph::run_profiled(const Tensor& input, PhaseTimer& timer) const {
-  GraphRunOptions opts;
-  opts.timer = &timer;
-  return run(input, opts);
+  // A graph with no ops returns a copy, never the caller's tensor.
+  if (output_ == 0) return input.clone();
+  return std::move(values[static_cast<std::size_t>(output_)]);
 }
 
 const TensorShape& Graph::output_shape() const {
-  return nodes_.back().shape;
+  return nodes_[static_cast<std::size_t>(output_)].shape;
 }
 
 const TensorShape& Graph::shape_of(NodeId id) const {
@@ -309,17 +258,44 @@ const std::vector<NodeId>& Graph::inputs_of(NodeId id) const {
   return nodes_.at(static_cast<std::size_t>(id)).inputs;
 }
 
-void Graph::replace_op(NodeId id, std::unique_ptr<Op> op) {
-  Node& node = nodes_.at(static_cast<std::size_t>(id));
-  std::vector<TensorShape> in_shapes;
-  for (NodeId in : node.inputs) {
-    in_shapes.push_back(nodes_[static_cast<std::size_t>(in)].shape);
+const std::vector<NodeId>& Graph::consumers_of(NodeId id) const {
+  return nodes_.at(static_cast<std::size_t>(id)).consumers;
+}
+
+void Graph::remove(NodeId id) {
+  if (id <= 0 || id >= node_count()) {
+    throw std::invalid_argument("remove: bad node id");
   }
-  const TensorShape new_shape = op->infer(in_shapes);
-  if (!(new_shape == node.shape)) {
-    throw std::invalid_argument("replace_op: output shape changed");
+  const Node& node = nodes_[static_cast<std::size_t>(id)];
+  if (node.inputs.size() != 1) {
+    throw std::invalid_argument("remove: node must have one input");
   }
-  node.op = std::move(op);
+  const NodeId src = node.inputs[0];
+  Node& source = nodes_[static_cast<std::size_t>(src)];
+  if (!(source.shape == node.shape)) {
+    throw std::invalid_argument("remove: node changes its input's shape");
+  }
+  // Rewire: every edge out of `id` now leaves `src`.
+  for (NodeId c : node.consumers) {
+    for (NodeId& in : nodes_[static_cast<std::size_t>(c)].inputs) {
+      if (in == id) in = src;
+    }
+  }
+  std::erase(source.consumers, id);
+  source.consumers.insert(source.consumers.end(), node.consumers.begin(),
+                          node.consumers.end());
+  std::sort(source.consumers.begin(), source.consumers.end());
+  if (output_ == id) output_ = src;
+
+  nodes_.erase(nodes_.begin() + id);
+  auto renumber = [id](NodeId& n) {
+    if (n > id) --n;
+  };
+  for (Node& other : nodes_) {
+    std::for_each(other.inputs.begin(), other.inputs.end(), renumber);
+    std::for_each(other.consumers.begin(), other.consumers.end(), renumber);
+  }
+  renumber(output_);
 }
 
 std::int64_t Graph::conv_flops() const {

@@ -18,10 +18,13 @@
 // output element's full C reduction happens inside one tile claim, so
 // neither the node interleaving nor the worker split can change any
 // FP accumulation order (DESIGN.md §10; enforced by the DAG fuzzer).
+// One ready-set loop runs every graph: with one runner the caller
+// drains it alone and no thread starts.
 //
 // Nodes are added in topological order; node 0 is the graph input.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,30 +35,35 @@ namespace ndirect {
 
 using NodeId = int;
 
-/// Observability of one run() call (all fields written by run).
+/// One node's execution in a run, on the monotonic_ns() clock.
+struct NodeRun {
+  NodeId id = 0;
+  int runner = 0;              ///< runner index, below GraphRunStats::runners
+  std::uint64_t start_ns = 0;  ///< before Op::forward
+  std::uint64_t end_ns = 0;    ///< after Op::forward returned
+};
+
+/// Observability of one run() call (written when run returns).
 struct GraphRunStats {
-  int runners = 0;       ///< runner threads used (1 = sequential)
+  int runners = 0;       ///< runner threads used (1 = the caller alone)
   int max_inflight = 0;  ///< peak concurrently executing nodes
-  /// Node ids in completion order; every node appears after all of its
-  /// inputs (the ordering tests assert this under concurrency).
-  std::vector<NodeId> completion_order;
+  /// One row per op node, in completion order: every node appears after
+  /// all of its inputs. Per-op-type totals are these rows summed by
+  /// op_of(id)->name(); under overlap they can exceed the wall time.
+  std::vector<NodeRun> nodes;
 };
 
 struct GraphRunOptions {
-  /// Execute independent ready nodes concurrently. Off forces the
-  /// seed's op-at-a-time loop (A/B benching; results are identical).
-  bool concurrent = true;
-  /// Runner threads executing node bodies. 0 = one per node of the
-  /// widest dependency level, capped at 8. Chain graphs (width 1)
-  /// always run inline on the caller. Runners are cheap dispatchers:
-  /// the heavy lifting stays on the convs' shared ThreadPool.
+  /// Runner threads draining the ready set. 0 = one per node of the
+  /// widest dependency level, capped at 8; never more than that width,
+  /// so chain graphs always run on the caller alone. 1 = the caller
+  /// runs every node and no thread starts. Runners are cheap
+  /// dispatchers: the heavy lifting stays on the convs' shared
+  /// ThreadPool.
   int runners = 0;
-  /// When set, accumulates per-op-type wall time (keys are op names).
-  /// PhaseTimer is internally locked, so overlapping nodes may add
-  /// concurrently; per-op totals remain exact, their sum can exceed
-  /// wall time (that is what overlap means).
-  PhaseTimer* timer = nullptr;
-  GraphRunStats* stats = nullptr;  ///< optional observability
+  /// When set, run() fills it, one timed row per node included. Unset,
+  /// a run reads no clock for it and keeps no record buffer.
+  GraphRunStats* stats = nullptr;
 };
 
 class Graph {
@@ -67,15 +75,13 @@ class Graph {
   /// new node's id. Inputs must be already-added nodes (or 0, input).
   NodeId add(std::unique_ptr<Op> op, std::vector<NodeId> inputs);
 
-  /// Run the whole graph on `input` (shape must match construction).
-  /// Default options: concurrent over the dependency levels. One Graph
-  /// must not be run from two threads at once (ops lazily plan engines).
+  /// Run the whole graph on `input` (shape must match construction)
+  /// and return the output node's value. Node 0's consumers read
+  /// `input` in place. Default options: concurrent over the dependency
+  /// levels. One Graph must not be run from two threads at once (ops
+  /// lazily plan engines).
   Tensor run(const Tensor& input) const { return run(input, {}); }
   Tensor run(const Tensor& input, const GraphRunOptions& opts) const;
-
-  /// Accumulate per-op-type wall time over one run into `timer`
-  /// (keys are op names: "conv", "relu", ...).
-  Tensor run_profiled(const Tensor& input, PhaseTimer& timer) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   const TensorShape& output_shape() const;
@@ -86,10 +92,16 @@ class Graph {
   std::vector<ConvOp*> conv_ops();
 
   const std::vector<NodeId>& inputs_of(NodeId id) const;
+  /// The nodes reading `id`, ascending, once per edge (add(x, x) lists
+  /// its node twice under x).
+  const std::vector<NodeId>& consumers_of(NodeId id) const;
 
-  /// Swap a node's operator in place. The replacement must infer the
-  /// same output shape from the same inputs (checked).
-  void replace_op(NodeId id, std::unique_ptr<Op> op);
+  /// Delete node `id`, a one-input node whose output has its input's
+  /// shape (a BatchNorm or ReLU a graph pass folded into its conv): its
+  /// consumers read its input instead, and every later node moves down
+  /// one id. If it was the graph's output, its input becomes the
+  /// output. Throws std::invalid_argument for any other node.
+  void remove(NodeId id);
 
   /// Total conv flops of one forward pass.
   std::int64_t conv_flops() const;
@@ -120,15 +132,12 @@ class Graph {
   struct Node {
     std::unique_ptr<Op> op;  ///< null for the input node
     std::vector<NodeId> inputs;
+    std::vector<NodeId> consumers;  ///< see consumers_of
     TensorShape shape;
   };
 
-  Tensor run_sequential(const Tensor& input,
-                        const GraphRunOptions& opts) const;
-  Tensor run_concurrent(const Tensor& input, const GraphRunOptions& opts,
-                        int runners) const;
-
   std::vector<Node> nodes_;
+  NodeId output_ = 0;  ///< the last added node, unless remove() moved it
   ThreadPool* conv_pool_ = nullptr;  ///< set_conv_pool target
 };
 

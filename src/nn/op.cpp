@@ -282,15 +282,6 @@ Tensor DepthwiseConvOp::forward(
 // Elementwise / normalization
 // ---------------------------------------------------------------------------
 
-TensorShape IdentityOp::infer(const std::vector<TensorShape>& in) const {
-  expect_arity("identity", in.size(), 1);
-  return in[0];
-}
-
-Tensor IdentityOp::forward(const std::vector<const Tensor*>& in) const {
-  return in.at(0)->clone();
-}
-
 TensorShape ReluOp::infer(const std::vector<TensorShape>& in) const {
   expect_arity("relu", in.size(), 1);
   return in[0];

@@ -182,14 +182,6 @@ class DepthwiseConvOp final : public Op {
   Tensor filter_;  ///< [C, 1, R, S]
 };
 
-/// Pass-through (what a folded-away op becomes).
-class IdentityOp final : public Op {
- public:
-  const char* name() const override { return "identity"; }
-  TensorShape infer(const std::vector<TensorShape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in) const override;
-};
-
 class ReluOp final : public Op {
  public:
   const char* name() const override { return "relu"; }

@@ -5,24 +5,22 @@
 namespace ndirect {
 
 int fold_batchnorm(Graph& graph) {
-  // Count consumers of every node: a conv feeding anything besides the
-  // BN (e.g. a residual edge) cannot absorb it.
-  std::vector<int> consumers(static_cast<std::size_t>(graph.node_count()),
-                             0);
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
-    for (NodeId in : graph.inputs_of(id)) {
-      ++consumers[static_cast<std::size_t>(in)];
-    }
-  }
-
   int folded = 0;
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
+  // A removed node's successor takes its id, so `id` advances only past
+  // a node that stays.
+  for (NodeId id = 1; id < graph.node_count();) {
     auto* bn = dynamic_cast<BatchNormOp*>(graph.op_of(id));
-    if (bn == nullptr) continue;
     const NodeId conv_id = graph.inputs_of(id)[0];
-    auto* conv = dynamic_cast<ConvOp*>(graph.op_of(conv_id));
-    if (conv == nullptr) continue;
-    if (consumers[static_cast<std::size_t>(conv_id)] != 1) continue;
+    auto* conv =
+        bn != nullptr ? dynamic_cast<ConvOp*>(graph.op_of(conv_id)) : nullptr;
+    // A conv feeding anything besides the BN (e.g. a residual edge)
+    // cannot absorb it, and neither can one whose fused ReLU would then
+    // run after the BN: s*relu(x)+t is not relu(s*x+t).
+    if (conv == nullptr || graph.consumers_of(conv_id).size() != 1 ||
+        conv->fused_relu()) {
+      ++id;
+      continue;
+    }
 
     // y = s*(conv(x) + b0) + t  ==  conv'(x) + b' with
     // filter'[k] = s[k]*filter[k],  b'[k] = s[k]*b0[k] + t[k].
@@ -44,35 +42,24 @@ int fold_batchnorm(Graph& graph) {
               bias[static_cast<std::size_t>(k)] +
           shift[static_cast<std::size_t>(k)];
     }
-    graph.replace_op(id, std::make_unique<IdentityOp>());
+    graph.remove(id);
     ++folded;
   }
   return folded;
 }
 
 int fuse_conv_relu(Graph& graph) {
-  std::vector<int> consumers(static_cast<std::size_t>(graph.node_count()),
-                             0);
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
-    for (NodeId in : graph.inputs_of(id)) {
-      ++consumers[static_cast<std::size_t>(in)];
-    }
-  }
-
   int fused = 0;
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
-    if (dynamic_cast<ReluOp*>(graph.op_of(id)) == nullptr) continue;
-    // Walk through an Identity left behind by fold_batchnorm.
-    NodeId src = graph.inputs_of(id)[0];
-    while (dynamic_cast<IdentityOp*>(graph.op_of(src)) != nullptr &&
-           consumers[static_cast<std::size_t>(src)] == 1) {
-      src = graph.inputs_of(src)[0];
+  for (NodeId id = 1; id < graph.node_count();) {
+    const bool relu = dynamic_cast<ReluOp*>(graph.op_of(id)) != nullptr;
+    const NodeId src = graph.inputs_of(id)[0];
+    auto* conv = relu ? dynamic_cast<ConvOp*>(graph.op_of(src)) : nullptr;
+    if (conv == nullptr || graph.consumers_of(src).size() != 1) {
+      ++id;
+      continue;
     }
-    auto* conv = dynamic_cast<ConvOp*>(graph.op_of(src));
-    if (conv == nullptr) continue;
-    if (consumers[static_cast<std::size_t>(src)] != 1) continue;
     conv->set_fused_relu(true);
-    graph.replace_op(id, std::make_unique<IdentityOp>());
+    graph.remove(id);
     ++fused;
   }
   return fused;

@@ -12,15 +12,15 @@
 
 namespace ndirect {
 
-/// Fold every BatchNorm whose sole consumer relationship is
-/// conv -> batchnorm into the convolution (filter scaling + bias), and
-/// replace the BatchNorm with Identity. Returns the number folded.
-/// Inference results are unchanged up to FP32 rounding.
+/// Fold every BatchNorm whose input is a conv with no other consumer
+/// and no fused ReLU into that convolution (filter scaling + bias), and
+/// remove the BatchNorm node (Graph::remove). Returns the number
+/// folded. Inference results are unchanged up to FP32 rounding.
 int fold_batchnorm(Graph& graph);
 
 /// Fuse every conv -> relu pair (conv's sole consumer) into the
-/// convolution's store epilogue, replacing the ReLU with Identity.
-/// Returns the number fused. Run fold_batchnorm first on BN networks so
+/// convolution's store epilogue, and remove the ReLU node. Returns the
+/// number fused. Run fold_batchnorm first on BN networks so
 /// the conv -> bn -> relu chains collapse into single fused convs.
 int fuse_conv_relu(Graph& graph);
 

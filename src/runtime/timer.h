@@ -32,10 +32,10 @@ class WallTimer {
 /// "micro-kernel") across repeated runs; used for the Fig. 1a breakdown.
 ///
 /// Thread-safe: add() and the readers take an internal mutex, so one
-/// timer can be shared by concurrently running ops (the graph executor's
-/// run_profiled does exactly that). The exception is phases(), which
-/// returns a reference into the map — call it only while no writer is
-/// active (i.e. after the run being profiled has completed).
+/// timer can be shared by concurrently running ops. The exception is
+/// phases(), which returns a reference into the map — call it only
+/// while no writer is active (i.e. after the run being profiled has
+/// completed).
 class PhaseTimer {
  public:
   /// RAII scope: adds the scope's duration to the named phase on exit.

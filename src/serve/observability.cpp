@@ -215,8 +215,9 @@ std::vector<std::string> SloMonitor::evaluate(
 
   // Rule 3: shed-fraction ceiling, with burst detection: a 1 s shed
   // fraction far above the 60 s baseline is a spike, not steady
-  // overload, and usually points at a transient (cold filter-cache
-  // repack, calibration step) rather than capacity.
+  // overload, and usually points at a transient (a cold graph build,
+  // whose first forward packs the weights; a calibration step) rather
+  // than capacity.
   if (config_.max_shed_fraction < 1.0) {
     int breached = -1;
     for (int i = 0; i < 3; ++i)
@@ -240,10 +241,10 @@ std::vector<std::string> SloMonitor::evaluate(
                              config_.max_shed_fraction;
       if (spike) {
         d += "; 1s spike over the 60s baseline — transient stall";
-        if (evidence.filter_repacks > 0)
-          d += " (filter-cache repacks seen: " +
-               std::to_string(evidence.filter_repacks) +
-               "; a cold repack stalls the first batch)";
+        if (evidence.graph_builds > 0)
+          d += " (cold graph builds seen: " +
+               std::to_string(evidence.graph_builds) +
+               "; a cold build stalls its first batch)";
       }
       out.push_back(std::move(d));
     }

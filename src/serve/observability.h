@@ -97,8 +97,7 @@ struct SloWindowStats {
 struct SloEvidence {
   double model_ratio = 0;   ///< measured / predicted batch ns (0 = n/a)
   double model_scale = 0;   ///< EWMA calibration factor (0 = n/a)
-  std::uint64_t filter_repacks = 0;  ///< graph-pool cold builds /
-                                     ///< repacks since start
+  std::uint64_t graph_builds = 0;  ///< graph-pool cold builds since start
 };
 
 class SloMonitor {

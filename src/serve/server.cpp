@@ -508,7 +508,7 @@ SloEvidence Server::slo_evidence() const {
   }
   if (const auto* g = dynamic_cast<const GraphLatencyModel*>(model_))
     ev.model_scale = g->scale();
-  ev.filter_repacks = graph_builds_.load(std::memory_order_relaxed);
+  ev.graph_builds = graph_builds_.load(std::memory_order_relaxed);
   return ev;
 }
 

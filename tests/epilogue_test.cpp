@@ -188,6 +188,26 @@ TEST(FuseConvRelu, FusionIsBackendInvariant) {
   EXPECT_TRUE(allclose(nd, gemm, 1e-3, 1e-3));
 }
 
+TEST(FuseConvRelu, FusedOutputNodeKeepsTheOutput) {
+  // conv -> relu, the ReLU being the graph's output: the fused conv
+  // becomes the output node.
+  Graph g(1, 4, 8, 8);
+  const ConvParams p{.N = 1, .C = 4, .H = 8, .W = 8, .K = 6,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  const NodeId c = g.add(
+      std::make_unique<ConvOp>(p, ConvBackend::Ndirect, 2, true), {0});
+  g.add(std::make_unique<ReluOp>(), {c});
+  Tensor in = make_input_nchw(1, 4, 8, 8);
+  fill_random(in, 94);
+  const Tensor before = g.run(in);
+  ASSERT_EQ(fuse_conv_relu(g), 1);
+  EXPECT_EQ(g.node_count(), 2);
+  EXPECT_EQ(g.output_shape(), (TensorShape{1, 6, 8, 8}));
+  const Tensor after = g.run(in);
+  EXPECT_TRUE(allclose(before, after))
+      << compare_tensors(before, after).to_string();
+}
+
 TEST(FuseConvRelu, DoesNotFuseResidualRelu) {
   // A relu fed by an Add must stay a ReLU op.
   Graph g(1, 4, 8, 8);

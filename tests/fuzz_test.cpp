@@ -5,6 +5,7 @@
 // public-API validation behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "baselines/naive_conv.h"
 #include "core/ndirect.h"
 #include "nn/graph.h"
+#include "nn/optimize.h"
 #include "tensor/compare.h"
 #include "tensor/rng.h"
 #include "tensor/transforms.h"
@@ -94,14 +96,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomShapeFuzz, ::testing::Range(0, 40));
 // ----------------------------------------------------------------------
 
 /// One fuzz iteration: build a random branchy DAG (random split/merge/
-/// add/concat over conv/relu/pool), run it sequentially once, then
+/// add/concat over conv/relu/pool), run it on one runner once, then
 /// assert every concurrent configuration reproduces that output
 /// bit-for-bit — the same guarantee the tile scheduler gives within one
 /// conv, lifted to whole graphs. Each seed checks:
 ///   1. the default concurrent executor on a small shared pool,
 ///   2. repeated runs (schedule nondeterminism must not surface),
 ///   3. an OVERSUBSCRIBED pool (threads > cores) with seeded
-///      sub-rectangle budgets + stealers from plan_concurrency.
+///      sub-rectangle budgets + stealers from plan_concurrency,
+///   4. fuse_conv_relu: the node count drops by exactly the fused
+///      count and the output matches the unfused run.
 class DagFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
@@ -117,7 +121,7 @@ TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
   fill_random(input, seed * 31 + 7);
 
   GraphRunOptions seq;
-  seq.concurrent = false;
+  seq.runners = 1;
   const Tensor expected = g->run(input, seq);
   const std::size_t bytes = expected.size() * sizeof(float);
 
@@ -140,6 +144,26 @@ TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
   ASSERT_EQ(wide_out.size(), expected.size());
   ASSERT_EQ(std::memcmp(wide_out.data(), expected.data(), bytes), 0)
       << "seed " << seed << " oversubscribed";
+
+  // Fusing removes each fused ReLU node; every remaining edge must
+  // still lead to the same output.
+  const int nodes = g->node_count();
+  const int fused = fuse_conv_relu(*g);
+  EXPECT_EQ(g->node_count(), nodes - fused) << "seed " << seed;
+  for (NodeId id = 1; id < g->node_count(); ++id) {
+    for (NodeId in : g->inputs_of(id)) {
+      ASSERT_LT(in, id) << "seed " << seed;
+      EXPECT_EQ(std::count(g->consumers_of(in).begin(),
+                           g->consumers_of(in).end(), id),
+                std::count(g->inputs_of(id).begin(),
+                           g->inputs_of(id).end(), in))
+          << "seed " << seed << " edge " << in << " -> " << id;
+    }
+  }
+  const Tensor fused_out = g->run(input, {});
+  EXPECT_TRUE(allclose(fused_out, expected))
+      << "seed " << seed << ": "
+      << compare_tensors(fused_out, expected).to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DagFuzz, ::testing::Range(0, 110));

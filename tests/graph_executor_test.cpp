@@ -1,7 +1,7 @@
 // Concurrency tests for the scheduler-aware graph executor: bitwise
-// determinism across sequential/concurrent execution, dependency-safe
-// completion ordering, thread-safe profiling, and concurrent runs on
-// one shared packed filter. Runs under the `threading` ctest label so the
+// determinism across one-runner/concurrent execution, dependency-safe
+// completion ordering, the per-node record under overlap, and
+// concurrent runs on one shared packed filter. Runs under the `threading` ctest label so the
 // TSan tier (scripts/build-tsan.sh) race-checks every path.
 #include <gtest/gtest.h>
 
@@ -91,7 +91,7 @@ TEST(GraphExecutor, SplitBlockConcurrentMatchesSequentialBitwise) {
   const Tensor input = input_for(*g, 77);
 
   GraphRunOptions seq;
-  seq.concurrent = false;
+  seq.runners = 1;
   const Tensor expected = g->run(input, seq);
 
   for (int rep = 0; rep < 5; ++rep) {
@@ -101,7 +101,7 @@ TEST(GraphExecutor, SplitBlockConcurrentMatchesSequentialBitwise) {
     const Tensor got = g->run(input, conc);
     expect_bitwise_equal(expected, got, "concurrent rep");
     EXPECT_GE(stats.runners, 2);
-    EXPECT_EQ(stats.completion_order.size(),
+    EXPECT_EQ(stats.nodes.size(),
               static_cast<std::size_t>(g->node_count()) - 1);
   }
 }
@@ -121,7 +121,7 @@ TEST(GraphExecutor, ResNetSplitPathsDeterministic) {
   const Tensor input = input_for(*g, 5);
 
   GraphRunOptions seq;
-  seq.concurrent = false;
+  seq.runners = 1;
   const Tensor expected = g->run(input, seq);
   for (int rep = 0; rep < 3; ++rep) {
     const Tensor got = g->run(input, {});
@@ -139,11 +139,11 @@ TEST(GraphExecutor, CompletionOrderRespectsDependencies) {
     GraphRunOptions opts;
     opts.stats = &stats;
     (void)g->run(input, opts);
-    ASSERT_EQ(stats.completion_order.size(),
+    ASSERT_EQ(stats.nodes.size(),
               static_cast<std::size_t>(g->node_count()) - 1);
     std::vector<int> pos(static_cast<std::size_t>(g->node_count()), -1);
-    for (std::size_t i = 0; i < stats.completion_order.size(); ++i) {
-      pos[static_cast<std::size_t>(stats.completion_order[i])] =
+    for (std::size_t i = 0; i < stats.nodes.size(); ++i) {
+      pos[static_cast<std::size_t>(stats.nodes[i].id)] =
           static_cast<int>(i);
     }
     for (NodeId id = 1; id < g->node_count(); ++id) {
@@ -171,19 +171,88 @@ TEST(GraphExecutor, ProfiledTotalsConsistentUnderOverlap) {
     ++node_counts[g->op_of(id)->name()];
   }
 
-  PhaseTimer timer;
+  // Per-op-type totals are the node rows summed by op name.
   GraphRunStats stats;
   GraphRunOptions opts;
-  opts.timer = &timer;
   opts.stats = &stats;
   const Tensor out = g->run(input, opts);
   EXPECT_GT(out.size(), 0u);
   EXPECT_GE(stats.runners, 2);
-  for (const auto& [name, count] : node_counts) {
-    EXPECT_EQ(timer.count(name), count) << name;
-    EXPECT_GE(timer.seconds(name), 0.0) << name;
+  std::map<std::string, long> row_counts;
+  std::map<std::string, std::uint64_t> row_ns;
+  for (const NodeRun& row : stats.nodes) {
+    const std::string name = g->op_of(row.id)->name();
+    ++row_counts[name];
+    row_ns[name] += row.end_ns - row.start_ns;
   }
-  EXPECT_GT(timer.total(), 0.0);
+  EXPECT_EQ(row_counts, node_counts);
+  EXPECT_GT(row_ns.at("conv"), 0u);
+}
+
+TEST(GraphExecutor, NodeRecordUnderConcurrency) {
+  // The per-node record of a multi-runner run: every op node exactly
+  // once, sane intervals, no node starting before all of its inputs
+  // ended, runner ids inside the crew. Then the one-runner loop: every
+  // row on runner 0, intervals back to back.
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<Graph>> graphs;
+  graphs.push_back(build_split_block(1));
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    auto g = testgen::build_random_dag(seed);
+    if (g->max_width() >= 2) graphs.push_back(std::move(g));
+  }
+  ASSERT_GE(graphs.size(), 4u);
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    Graph& g = *graphs[gi];
+    g.set_conv_pool(&pool);
+    const Tensor input = input_for(g, gi);
+    const std::size_t n = static_cast<std::size_t>(g.node_count());
+    for (int runners : {0, 2, 3}) {
+      GraphRunStats stats;
+      GraphRunOptions opts;
+      opts.runners = runners;
+      opts.stats = &stats;
+      (void)g.run(input, opts);
+      ASSERT_GE(stats.runners, 2) << "graph " << gi;
+      ASSERT_EQ(stats.nodes.size(), n - 1) << "graph " << gi;
+      std::vector<const NodeRun*> row(n, nullptr);
+      for (const NodeRun& r : stats.nodes) {
+        ASSERT_GE(r.id, 1);
+        ASSERT_LT(static_cast<std::size_t>(r.id), n);
+        EXPECT_EQ(row[static_cast<std::size_t>(r.id)], nullptr)
+            << "node " << r.id << " recorded twice";
+        row[static_cast<std::size_t>(r.id)] = &r;
+        EXPECT_LE(r.start_ns, r.end_ns);
+        EXPECT_GE(r.runner, 0);
+        EXPECT_LT(r.runner, stats.runners);
+      }
+      for (NodeId id = 1; id < g.node_count(); ++id) {
+        const NodeRun* r = row[static_cast<std::size_t>(id)];
+        ASSERT_NE(r, nullptr) << "node " << id << " missing";
+        for (NodeId in : g.inputs_of(id)) {
+          if (in == 0) continue;
+          EXPECT_GE(r->start_ns, row[static_cast<std::size_t>(in)]->end_ns)
+              << "node " << id << " started before input " << in
+              << " ended (graph " << gi << ")";
+        }
+      }
+    }
+
+    GraphRunStats solo;
+    GraphRunOptions one;
+    one.runners = 1;
+    one.stats = &solo;
+    (void)g.run(input, one);
+    EXPECT_EQ(solo.runners, 1);
+    EXPECT_EQ(solo.max_inflight, 1);
+    ASSERT_EQ(solo.nodes.size(), n - 1);
+    for (std::size_t i = 0; i < solo.nodes.size(); ++i) {
+      EXPECT_EQ(solo.nodes[i].runner, 0);
+      if (i > 0) {
+        EXPECT_GE(solo.nodes[i].start_ns, solo.nodes[i - 1].end_ns);
+      }
+    }
+  }
 }
 
 TEST(GraphExecutor, ConcurrentRunsShareOnePackedFilter) {
@@ -274,7 +343,7 @@ TEST(GraphExecutor, ExceptionInBranchPropagates) {
   EXPECT_THROW((void)g->run(input, {}), std::runtime_error);
   // The graph stays usable after a failed run.
   GraphRunOptions seq;
-  seq.concurrent = false;
+  seq.runners = 1;
   EXPECT_THROW((void)g->run(input, seq), std::runtime_error);
 }
 
@@ -290,7 +359,7 @@ TEST(GraphExecutor, RandomDagsUnderOversubscribedPool) {
     g->plan_concurrency();
     const Tensor input = input_for(*g, seed);
     GraphRunOptions seq;
-    seq.concurrent = false;
+    seq.runners = 1;
     const Tensor expected = g->run(input, seq);
     const Tensor got = g->run(input, {});
     expect_bitwise_equal(expected, got, "oversubscribed dag");

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "core/filter_transform.h"
@@ -26,6 +28,26 @@ Tensor random_input(int N, int C, int H, int W, std::uint64_t seed) {
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// One recorded run of `g`, its node rows summed into ns per op name.
+std::map<std::string, std::uint64_t> op_ns(Graph& g, const Tensor& input,
+                                           Tensor* out = nullptr) {
+  GraphRunStats stats;
+  GraphRunOptions opts;
+  opts.stats = &stats;
+  Tensor y = g.run(input, opts);
+  if (out != nullptr) *out = std::move(y);
+  std::map<std::string, std::uint64_t> ns;
+  for (const NodeRun& row : stats.nodes) {
+    ns[g.op_of(row.id)->name()] += row.end_ns - row.start_ns;
+  }
+  return ns;
+}
+
+ConvParams small_conv(int C, int K) {
+  return ConvParams{.N = 1, .C = C, .H = 8, .W = 8, .K = K,
+                    .R = 3, .S = 3, .str = 1, .pad = 1};
 }
 
 // ----------------------------------------------------------------------
@@ -397,13 +419,12 @@ TEST(Models, MobileNetUsesDepthwiseSeparableBlocks) {
   opts.channel_divisor = 16;
   opts.image_size = 64;
   auto net = build_mobilenet(1, opts);
-  // 1 stem conv + 13 pointwise convs; 13 depthwise ops counted via
-  // profiling keys.
+  // 1 stem conv + 13 pointwise convs; the depthwise ops show up in the
+  // per-node record.
   EXPECT_EQ(net->conv_ops().size(), 14u);
-  PhaseTimer timer;
-  const Tensor out =
-      net->run_profiled(random_input(1, 3, 64, 64, 14), timer);
-  EXPECT_GT(timer.seconds("dwconv"), 0.0);
+  Tensor out;
+  const auto ns = op_ns(*net, random_input(1, 3, 64, 64, 14), &out);
+  EXPECT_GT(ns.at("dwconv"), 0u);
   EXPECT_EQ(net->output_shape().C, 1000);
   // Output is a softmax distribution.
   double sum = 0;
@@ -437,16 +458,50 @@ TEST(Models, BuildByName) {
   EXPECT_THROW(build_model("AlexNet", 1, opts), std::invalid_argument);
 }
 
-TEST(Models, RunProfiledAccountsConvTime) {
+TEST(Models, NodeRecordAccountsConvTime) {
   ModelOptions opts;
   opts.channel_divisor = 16;
   opts.image_size = 32;
   auto net = build_resnet50(1, opts);
-  PhaseTimer timer;
-  (void)net->run_profiled(random_input(1, 3, 32, 32, 11), timer);
-  EXPECT_GT(timer.seconds("conv"), 0.0);
-  EXPECT_GT(timer.seconds("relu"), 0.0);
-  EXPECT_GT(timer.seconds("batchnorm"), 0.0);
+  const auto ns = op_ns(*net, random_input(1, 3, 32, 32, 11));
+  EXPECT_GT(ns.at("conv"), 0u);
+  EXPECT_GT(ns.at("relu"), 0u);
+  EXPECT_GT(ns.at("batchnorm"), 0u);
+}
+
+// ----------------------------------------------------------------------
+// Graph editing
+// ----------------------------------------------------------------------
+
+TEST(GraphEdit, RemoveRejectsNodesItCannotBypass) {
+  Graph g(1, 4, 8, 8);
+  const NodeId r = g.add(std::make_unique<ReluOp>(), {0});
+  const NodeId sum = g.add(std::make_unique<AddOp>(), {0, r});
+  g.add(std::make_unique<MaxPoolOp>(2, 2, 0), {sum});
+  EXPECT_THROW(g.remove(0), std::invalid_argument);    // the input
+  EXPECT_THROW(g.remove(sum), std::invalid_argument);  // two inputs
+  EXPECT_THROW(g.remove(3), std::invalid_argument);    // shape change
+  EXPECT_THROW(g.remove(4), std::invalid_argument);    // no such node
+  EXPECT_EQ(g.node_count(), 4);
+  // The ReLU can go: the add then reads the input twice.
+  g.remove(r);
+  EXPECT_EQ(g.inputs_of(1), (std::vector<NodeId>{0, 0}));
+  EXPECT_EQ(g.consumers_of(0), (std::vector<NodeId>{1, 1}));
+  EXPECT_EQ(g.consumers_of(1), std::vector<NodeId>{2});
+}
+
+TEST(GraphEdit, GraphWithoutOpsReturnsACopy) {
+  Graph g(1, 2, 3, 3);
+  const Tensor input = random_input(1, 2, 3, 3, 24);
+  const Tensor out = g.run(input);
+  EXPECT_TRUE(bitwise_equal(input, out));
+  EXPECT_NE(out.data(), input.data());
+  // The same holds once the only op is removed again.
+  g.add(std::make_unique<ReluOp>(), {0});
+  g.remove(1);
+  const Tensor again = g.run(input);
+  EXPECT_TRUE(bitwise_equal(input, again));
+  EXPECT_NE(again.data(), input.data());
 }
 
 // ----------------------------------------------------------------------
@@ -468,16 +523,105 @@ TEST(FoldBatchNorm, PreservesResNetOutputs) {
 }
 
 TEST(FoldBatchNorm, FoldingSpeedsUpOrMatchesNodeWork) {
-  // After folding, a profiled run spends zero time in batchnorm.
+  // After folding, the BatchNorm nodes are gone: a recorded run times
+  // convs and no batchnorm, and nothing in their place.
   ModelOptions opts;
   opts.channel_divisor = 16;
   opts.image_size = 32;
   auto net = build_resnet50(1, opts);
-  fold_batchnorm(*net);
-  PhaseTimer timer;
-  (void)net->run_profiled(random_input(1, 3, 32, 32, 13), timer);
-  EXPECT_EQ(timer.seconds("batchnorm"), 0.0);
-  EXPECT_GT(timer.seconds("identity"), 0.0);
+  const int nodes = net->node_count();
+  const int folded = fold_batchnorm(*net);
+  EXPECT_EQ(net->node_count(), nodes - folded);
+  const auto ns = op_ns(*net, random_input(1, 3, 32, 32, 13));
+  EXPECT_EQ(ns.count("batchnorm"), 0u);
+  EXPECT_GT(ns.at("conv"), 0u);
+  for (NodeId id = 1; id < net->node_count(); ++id) {
+    EXPECT_STRNE(net->op_of(id)->name(), "batchnorm");
+  }
+}
+
+TEST(FoldBatchNorm, FoldedOutputNodeKeepsTheOutput) {
+  // conv -> bn, the BN being the graph's output: the conv becomes the
+  // output node.
+  Graph g(1, 4, 8, 8);
+  const NodeId c = g.add(
+      std::make_unique<ConvOp>(small_conv(4, 6), ConvBackend::Ndirect, 3,
+                               true),
+      {0});
+  g.add(std::make_unique<BatchNormOp>(6, 4), {c});
+  const Tensor input = random_input(1, 4, 8, 8, 21);
+  const Tensor before = g.run(input);
+  ASSERT_EQ(fold_batchnorm(g), 1);
+  EXPECT_EQ(g.node_count(), 2);
+  EXPECT_TRUE(g.consumers_of(c).empty());
+  EXPECT_EQ(g.output_shape(), (TensorShape{1, 6, 8, 8}));
+  const Tensor after = g.run(input);
+  EXPECT_TRUE(allclose(before, after))
+      << compare_tensors(before, after).to_string();
+}
+
+TEST(FoldBatchNorm, FoldsBatchNormWithTwoConsumers) {
+  // conv -> bn, and the BN feeds both a conv branch and the residual
+  // add: both consumers must read the folded conv afterwards.
+  Graph g(1, 4, 8, 8);
+  const NodeId c = g.add(
+      std::make_unique<ConvOp>(small_conv(4, 4), ConvBackend::Ndirect, 5,
+                               false),
+      {0});
+  const NodeId bn = g.add(std::make_unique<BatchNormOp>(4, 6), {c});
+  const NodeId branch = g.add(
+      std::make_unique<ConvOp>(small_conv(4, 4), ConvBackend::Ndirect, 7,
+                               false),
+      {bn});
+  g.add(std::make_unique<AddOp>(), {bn, branch});
+  const Tensor input = random_input(1, 4, 8, 8, 22);
+  const Tensor before = g.run(input);
+  ASSERT_EQ(fold_batchnorm(g), 1);
+  ASSERT_EQ(g.node_count(), 4);
+  // Ids after the BN moved down one: the branch conv is 2, the add 3.
+  EXPECT_EQ(g.inputs_of(2), std::vector<NodeId>{c});
+  EXPECT_EQ(g.inputs_of(3), (std::vector<NodeId>{c, 2}));
+  EXPECT_EQ(g.consumers_of(c), (std::vector<NodeId>{2, 3}));
+  const Tensor after = g.run(input);
+  EXPECT_TRUE(allclose(before, after))
+      << compare_tensors(before, after).to_string();
+}
+
+TEST(FoldBatchNorm, SkipsConvWithFusedRelu) {
+  // relu(s*x+t) is not s*relu(x)+t: a conv whose ReLU is already fused
+  // must not absorb a BatchNorm that follows it.
+  const Tensor input = random_input(1, 4, 8, 8, 23);
+  // Route 1: the fused flag set by hand on conv -> bn.
+  {
+    Graph g(1, 4, 8, 8);
+    auto conv = std::make_unique<ConvOp>(small_conv(4, 6),
+                                         ConvBackend::Ndirect, 8, true);
+    conv->set_fused_relu(true);
+    const NodeId c = g.add(std::move(conv), {0});
+    g.add(std::make_unique<BatchNormOp>(6, 9), {c});
+    const Tensor before = g.run(input);
+    EXPECT_EQ(fold_batchnorm(g), 0);
+    EXPECT_EQ(g.node_count(), 3);
+    EXPECT_TRUE(bitwise_equal(before, g.run(input)));
+  }
+  // Route 2: fuse_conv_relu on conv -> relu -> bn removes the ReLU, so
+  // the BN's input becomes the fused conv.
+  {
+    Graph g(1, 4, 8, 8);
+    const NodeId c = g.add(
+        std::make_unique<ConvOp>(small_conv(4, 6), ConvBackend::Ndirect, 8,
+                                 true),
+        {0});
+    const NodeId r = g.add(std::make_unique<ReluOp>(), {c});
+    g.add(std::make_unique<BatchNormOp>(6, 9), {r});
+    const Tensor before = g.run(input);
+    EXPECT_EQ(fuse_conv_relu(g), 1);
+    EXPECT_EQ(fold_batchnorm(g), 0);
+    EXPECT_EQ(g.node_count(), 3);
+    const Tensor after = g.run(input);
+    EXPECT_TRUE(allclose(before, after))
+        << compare_tensors(before, after).to_string();
+  }
 }
 
 TEST(FoldBatchNorm, VggHasNothingToFold) {

@@ -1178,13 +1178,13 @@ TEST(SloMonitorTest, ShedSpikeAgainstBaselineIsCalledOut) {
   for (int i = 0; i < 9; ++i)
     mon.record_shed(now, ShedReason::kDeadlineExpired);
   SloEvidence ev;
-  ev.filter_repacks = 3;
+  ev.graph_builds = 3;
   const std::vector<std::string> diags = mon.evaluate(now, ev);
   ASSERT_GE(diags.size(), 1u);
   const std::string& d = diags.back();
   EXPECT_NE(d.find("shed fraction"), std::string::npos);
   EXPECT_NE(d.find("1s spike"), std::string::npos);
-  EXPECT_NE(d.find("filter-cache repacks seen: 3"), std::string::npos);
+  EXPECT_NE(d.find("cold graph builds seen: 3"), std::string::npos);
 }
 
 TEST(ObservabilityTest, ServerFeedsSloWindowsAndReport) {
