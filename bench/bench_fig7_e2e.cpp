@@ -151,10 +151,11 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // Graph passes on the inference path: ResNet-50 forward with BN and
-  // ReLU as separate passes vs. BN folded into the conv weights and ReLU
-  // fused into the conv store epilogue. Both arms run on weights each
-  // ConvOp packed once, so the ratio is the two passes' gain alone.
+  // Graph passes on the inference path: ResNet-50 forward with BN, ReLU
+  // and the residual adds as separate passes vs. BN folded into the conv
+  // weights and ReLU and residual add fused into the conv store
+  // epilogue. Both arms run on weights each ConvOp packed once, so the
+  // ratio is the two passes' gain alone.
   // ------------------------------------------------------------------
   {
     Tensor input =
@@ -188,7 +189,7 @@ int main() {
     const std::uint64_t transforms = transform_filter_tile_calls() - tf0;
 
     std::printf(
-        "\n[measured] ResNet-50 BN fold + ReLU fusion: "
+        "\n[measured] ResNet-50 BN fold + ReLU/residual fusion: "
         "%.1f ms -> %.1f ms (%.2fx); steady-state filter transforms "
         "per forward: %llu\n",
         t_before * 1e3, t_after * 1e3,

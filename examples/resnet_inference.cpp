@@ -1,7 +1,8 @@
 // End-to-end CNN inference with the graph executor: build ResNet-50,
-// fold BatchNorm and ReLU into the convolutions, and compare the conv
-// backends on the same weights — the workflow behind the paper's Fig. 7.
-// Exits 1 if the passes change the output beyond FP32 rounding.
+// fold BatchNorm, ReLU and the residual adds into the convolutions, and
+// compare the conv backends on the same weights — the workflow behind
+// the paper's Fig. 7. Exits 1 if the passes change the output beyond
+// FP32 rounding, or leave any add, relu or batchnorm node behind.
 //
 //   $ ./examples/resnet_inference            # reduced model, fast
 //   $ NDIRECT_EXAMPLE_FULL=1 ./examples/resnet_inference
@@ -40,8 +41,9 @@ int main() {
   fill_random(image, 7);
 
   // Fold inference BatchNorm into the conv weights and fuse each
-  // conv's ReLU into its store epilogue (the fusion extension of
-  // Section 10): the folded nodes leave the graph, results are unchanged.
+  // conv's ReLU, and each residual add with the ReLU after it, into a
+  // conv's store epilogue (the fusion extension of Section 10): the
+  // folded nodes leave the graph, results are unchanged.
   const Tensor before = net->run(image);
   const int nodes_before = net->node_count();
   const int folded = fold_batchnorm(*net);
@@ -51,14 +53,24 @@ int main() {
   // uniform (every probability within ~1e-3 of 1/1000), so an absolute
   // bound would pass almost any output.
   const bool unchanged = allclose(before, after, 1e-3, 0.0);
-  std::printf("folded %d BatchNorm and fused %d ReLU ops into convs: "
-              "%d -> %d graph nodes (outputs %s)\n",
+  std::printf("folded %d BatchNorm and fused %d ReLU and add ops into "
+              "convs: %d -> %d graph nodes (outputs %s)\n",
               folded, fused, nodes_before, net->node_count(),
               unchanged ? "unchanged" : "DIFFER");
   if (!unchanged) {
     std::fprintf(stderr, "error: the graph passes changed the output: %s\n",
                  compare_tensors(before, after).to_string().c_str());
     return 1;
+  }
+  // Every element-wise op of ResNet-50 has a conv to fuse into; one
+  // that survives means a pass stopped matching.
+  for (NodeId id = 1; id < net->node_count(); ++id) {
+    const std::string name = net->op_of(id)->name();
+    if (name == "add" || name == "relu" || name == "batchnorm") {
+      std::fprintf(stderr, "error: node %d (%s) survived the passes\n", id,
+                   name.c_str());
+      return 1;
+    }
   }
 
   // Per-op-type time breakdown with the nDirect backend, summed from

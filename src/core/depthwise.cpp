@@ -12,7 +12,8 @@ namespace {
 // output columns; the reduction runs over (r, s) only — the C reduction
 // of Algorithm 3 is removed, exactly as Section 10.2 prescribes.
 // Interior columns take the SIMD path; borders and strided layers take
-// the scalar path.
+// the scalar path. The caller finishes the row with the epilogue while
+// it is still in L1.
 void depthwise_row(const float* chan, const float* frow_base,
                    float* out_row, const DepthwiseParams& p, int oj) {
   const int Q = p.Q();
@@ -80,7 +81,8 @@ void depthwise_row(const float* chan, const float* frow_base,
 }  // namespace
 
 Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
-                           const DepthwiseParams& p, ThreadPool* pool) {
+                           const DepthwiseParams& p, ThreadPool* pool,
+                           const ConvEpilogue& epi) {
   if (!p.valid()) {
     throw std::invalid_argument("depthwise_conv: invalid parameters");
   }
@@ -117,11 +119,21 @@ Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
               const float* chan = input.data() + (n * p.C + c) * hw_in;
               const float* frow =
                   filter.data() + c * static_cast<std::int64_t>(p.R) * p.S;
-              float* out_chan = out.data() + (n * p.C + c) * hw_out;
+              const std::int64_t plane = (n * p.C + c) * hw_out;
+              const float* bias = epi.bias != nullptr ? epi.bias + c : nullptr;
+              const bool finish =
+                  bias != nullptr || epi.residual != nullptr || epi.relu;
               w.timed(Counter::kMicrokernelNs, [&] {
-                for (int oj = 0; oj < P; ++oj)
-                  depthwise_row(chan, frow, out_chan + std::int64_t{oj} * Q,
-                                p, oj);
+                for (int oj = 0; oj < P; ++oj) {
+                  const std::int64_t row = plane + std::int64_t{oj} * Q;
+                  depthwise_row(chan, frow, out.data() + row, p, oj);
+                  if (finish) {
+                    finish_row(out.data() + row, Q, bias,
+                               epi.residual != nullptr ? epi.residual + row
+                                                       : nullptr,
+                               epi.relu);
+                  }
+                }
               });
             });
   return out;

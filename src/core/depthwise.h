@@ -11,6 +11,7 @@
 // (nn::DepthwiseConvOp + nn::ConvOp).
 #pragma once
 
+#include "core/epilogue.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
@@ -35,11 +36,13 @@ struct DepthwiseParams {
 };
 
 /// input NCHW [N,C,H,W], filter [C,1,R,S] (KCRS with K=C, C=1)
-/// -> output NCHW [N,C,P,Q]. Throws std::invalid_argument on invalid
-/// params or mismatched tensor shapes.
+/// -> output NCHW [N,C,P,Q], finished by the store epilogue `epi`
+/// (per-channel bias, an NCHW [N,C,P,Q] residual, ReLU). Throws
+/// std::invalid_argument on invalid params or mismatched tensor shapes.
 Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
                            const DepthwiseParams& p,
-                           ThreadPool* pool = nullptr);
+                           ThreadPool* pool = nullptr,
+                           const ConvEpilogue& epi = {});
 
 /// Reference implementation (double accumulation) for tests.
 Tensor depthwise_conv_reference(const Tensor& input, const Tensor& filter,

@@ -227,7 +227,6 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
         std::min<std::int64_t>(tk_chunk, k_blocks_total - kb0);
 
     const float* image = input + n * ls.in_image;
-    float* out_image = output + n * ls.out_image;
 
     for (int ht = oh_begin; ht < oh_end; ht += th) {         // loop L2
       const int hv_end = std::min(ht + th, oh_end);
@@ -300,7 +299,7 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
             a.out_w_stride = ls.out_w;
             a.wn = wn;
             a.accumulate = !first_c;
-            a.relu = last_c && epi.relu;
+            a.epi.relu = last_c && epi.relu;
 
             // Dispatch against the per-conv resolution: interior when
             // the tile fills its resolved block (the W tail uses the
@@ -337,10 +336,16 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
             for (std::int64_t b = 0; b < kbn; ++b) {         // loop L7
               const std::int64_t kv = (kb0 + b) * vk;
               a.kn = static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
-              a.bias = last_c && epi.bias != nullptr ? epi.bias + kv : nullptr;
+              const std::int64_t out_off = n * ls.out_image +
+                                           kv * ls.out_k + hv * ls.out_row +
+                                           wv * ls.out_w;
               a.ftile = ftile_base + b * f_kb_stride;
-              a.out = out_image + kv * ls.out_k + hv * ls.out_row +
-                      wv * ls.out_w;
+              a.out = output + out_off;
+              a.epi.bias = last_c && epi.bias != nullptr ? epi.bias + kv
+                                                         : nullptr;
+              a.epi.residual = last_c && epi.residual != nullptr
+                                   ? epi.residual + out_off
+                                   : nullptr;
               if (b == 0 && !direct_row && opts.fuse_packing) {
                 // First kv block: fused mode hides the input-window
                 // packing behind this block's FMAs (its cost lands in

@@ -1,5 +1,6 @@
 #include "core/microkernel.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/microkernel_generator.h"
@@ -38,9 +39,9 @@ void compute_kernel(const MicroArgs& a) {
     }
   }
   if (a.wn == VW && a.kn == VK) {
-    detail::store_tile_interior<VW, VKV>(a, acc);
+    detail::store_tile<VW, VKV, true>(a, acc);
   } else {
-    detail::store_tile_edge<VW, VKV>(a, acc);
+    detail::store_tile<VW, VKV, false>(a, acc);
   }
 }
 
@@ -71,9 +72,9 @@ void fused_kernel(const MicroArgs& a, const PackGeometry& g) {
     }
   }
   if (a.wn == VW && a.kn == VK) {
-    detail::store_tile_interior<VW, VKV>(a, acc);
+    detail::store_tile<VW, VKV, true>(a, acc);
   } else {
-    detail::store_tile_edge<VW, VKV>(a, acc);
+    detail::store_tile<VW, VKV, false>(a, acc);
   }
 }
 
@@ -170,10 +171,12 @@ void compute_kernel_generic(const MicroArgs& a, int vw, int vk) {
   }
   for (int w = 0; w < a.wn; ++w) {
     for (int k = 0; k < a.kn; ++k) {
-      float* o = a.out + k * a.out_k_stride + w * a.out_w_stride;
+      const std::int64_t off = k * a.out_k_stride + w * a.out_w_stride;
+      float* o = a.out + off;
       float v = a.accumulate ? *o + tile[w][k] : tile[w][k];
-      if (a.bias != nullptr) v += a.bias[k];
-      if (a.relu && v < 0.0f) v = 0.0f;
+      if (a.epi.bias != nullptr) v += a.epi.bias[k];
+      if (a.epi.residual != nullptr) v += a.epi.residual[off];
+      if (a.epi.relu) v = std::max(v, 0.0f);
       *o = v;
     }
   }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/epilogue.h"
 #include "core/fai.h"
 
 namespace ndirect {
@@ -78,11 +79,11 @@ struct MicroArgs {
   int kn = 0;                   ///< valid output channels (<= vk)
   bool accumulate = false;      ///< add into out (later C tiles)
 
-  // Store-time epilogue (operator fusion, Section 10 direction): both
-  // are applied by the engine only on the final C tile's stores, so a
-  // convolution with bias/ReLU costs no extra pass over the output.
-  const float* bias = nullptr;  ///< kn per-channel values, or nullptr
-  bool relu = false;            ///< clamp stores at zero
+  /// The store epilogue (core/epilogue.h), set only on the final C
+  /// tile's stores and rebased to this tile: `bias` points at channel
+  /// kv's value, `residual` at the element `out` points at (it shares
+  /// out's strides).
+  ConvEpilogue epi;
 };
 
 /// Upper bounds accepted by the generic kernels (cover every block that

@@ -96,101 +96,68 @@ NDIRECT_ALWAYS_INLINE void pack_row(float* dst, const PackGeometry& g,
 // Tile stores
 // ---------------------------------------------------------------------------
 
-// Branch-free full-tile store: requires wn == VW and kn == VK. NCHW uses
-// 4x4 in-register transposes to turn the K-vectorized accumulators into
-// W-contiguous stores; NHWC stores the accumulators directly.
-template <int VW, int VKV>
-NDIRECT_ALWAYS_INLINE void store_tile_interior(const MicroArgs& a,
-                                               vec128f (&acc)[VW][VKV]) {
-  const vec128f zero = vzero();
-  if (a.out_w_stride == 1) {  // NCHW
-    for (int j = 0; j < VKV; ++j) {
-      for (int w0 = 0; w0 < VW; w0 += 4) {
-        vec128f r0 = acc[w0 + 0][j], r1 = acc[w0 + 1][j],
-                r2 = acc[w0 + 2][j], r3 = acc[w0 + 3][j];
-        vtranspose4x4(r0, r1, r2, r3);
-        float* o0 = a.out + (4 * j + 0) * a.out_k_stride + w0;
-        float* o1 = a.out + (4 * j + 1) * a.out_k_stride + w0;
-        float* o2 = a.out + (4 * j + 2) * a.out_k_stride + w0;
-        float* o3 = a.out + (4 * j + 3) * a.out_k_stride + w0;
-        if (a.accumulate) {
-          r0 = vadd(r0, vload(o0));
-          r1 = vadd(r1, vload(o1));
-          r2 = vadd(r2, vload(o2));
-          r3 = vadd(r3, vload(o3));
-        }
-        if (a.bias != nullptr) {
-          // After the transpose each row holds one output channel.
-          r0 = vadd(r0, vdup(a.bias[4 * j + 0]));
-          r1 = vadd(r1, vdup(a.bias[4 * j + 1]));
-          r2 = vadd(r2, vdup(a.bias[4 * j + 2]));
-          r3 = vadd(r3, vdup(a.bias[4 * j + 3]));
-        }
-        if (a.relu) {
-          r0 = vmax(r0, zero);
-          r1 = vmax(r1, zero);
-          r2 = vmax(r2, zero);
-          r3 = vmax(r3, zero);
-        }
-        vstore(o0, r0);
-        vstore(o1, r1);
-        vstore(o2, r2);
-        vstore(o3, r3);
-      }
-    }
-  } else {  // NHWC: K is contiguous (out_k_stride == 1)
-    for (int w = 0; w < VW; ++w) {
-      float* o = a.out + w * a.out_w_stride;
-      for (int j = 0; j < VKV; ++j) {
-        vec128f v = acc[w][j];
-        if (a.accumulate) v = vadd(v, vload(o + 4 * j));
-        if (a.bias != nullptr) v = vadd(v, vload(a.bias + 4 * j));
-        if (a.relu) v = vmax(v, zero);
-        vstore(o + 4 * j, v);
-      }
-    }
+// Finish and store one vector of the tile `off` floats past a.out, `n`
+// lanes wide (FULL: all 4): add the earlier C tiles' partial sum, then
+// the bias, then the residual, then the ReLU — the order of the unfused
+// ops (core/epilogue.h). The vector holds channel k in every lane
+// (NCHW), or channels k..k+n-1 (K_LANES, NHWC).
+template <bool FULL, bool K_LANES>
+NDIRECT_ALWAYS_INLINE void store_vec(const MicroArgs& a, vec128f v,
+                                     std::int64_t off, int k, int n) {
+  float* o = a.out + off;
+  if (a.accumulate) v = vadd(v, FULL ? vload(o) : vload_lanes(o, n));
+  if (a.epi.bias != nullptr) {
+    const float* b = a.epi.bias + k;
+    v = vadd(v, !K_LANES ? vdup(*b) : FULL ? vload(b) : vload_lanes(b, n));
+  }
+  if (a.epi.residual != nullptr) {
+    const float* r = a.epi.residual + off;
+    v = vadd(v, FULL ? vload(r) : vload_lanes(r, n));
+  }
+  if (a.epi.relu) v = vrelu(v);
+  if (FULL) {
+    vstore(o, v);
+  } else {
+    vstore_lanes(o, v, n);
   }
 }
 
-// Masked edge store: any wn <= VW, kn <= VK (including kn % 4 != 0).
-// Same transpose/direct structure as the interior store, but every
-// boundary group goes through partial-lane loads/stores, so ragged tile
-// borders stay vectorized — no scalar spill-and-copy.
-template <int VW, int VKV>
-NDIRECT_ALWAYS_INLINE void store_tile_edge(const MicroArgs& a,
-                                           vec128f (&acc)[VW][VKV]) {
-  const vec128f zero = vzero();
+// Tile store. FULL (the interior store) requires wn == VW and kn == VK
+// and has compile-time bounds: branch-free. Otherwise (the edge store)
+// any wn <= VW, kn <= VK (including kn % 4 != 0) goes through
+// partial-lane loads/stores, so ragged tile borders stay vectorized — no
+// scalar spill-and-copy. NCHW uses 4x4 in-register transposes to turn
+// the K-vectorized accumulators into W-contiguous stores; NHWC stores
+// the accumulators directly.
+template <int VW, int VKV, bool FULL>
+NDIRECT_ALWAYS_INLINE void store_tile(const MicroArgs& a,
+                                      vec128f (&acc)[VW][VKV]) {
+  const int wn = FULL ? VW : a.wn;
+  const int kn = FULL ? VKV * 4 : a.kn;
   if (a.out_w_stride == 1) {  // NCHW
-    for (int k0 = 0; k0 < a.kn; k0 += 4) {
+    for (int k0 = 0; k0 < kn; k0 += 4) {
       const int j = k0 / 4;
-      const int kg = a.kn - k0 < 4 ? a.kn - k0 : 4;
-      for (int w0 = 0; w0 < a.wn; w0 += 4) {
-        const int wg = a.wn - w0 < 4 ? a.wn - w0 : 4;
+      const int kg = FULL || kn - k0 >= 4 ? 4 : kn - k0;
+      for (int w0 = 0; w0 < wn; w0 += 4) {
+        const int wg = FULL || wn - w0 >= 4 ? 4 : wn - w0;
         // Accumulator lanes past wn/kn hold finite garbage; the
         // transpose carries them along and the masked stores drop them.
         vec128f r[4] = {acc[w0 + 0][j], acc[w0 + 1][j], acc[w0 + 2][j],
                         acc[w0 + 3][j]};
+        // After the transpose each vector holds one output channel.
         vtranspose4x4(r[0], r[1], r[2], r[3]);
         for (int kk = 0; kk < kg; ++kk) {
-          float* o = a.out + (k0 + kk) * a.out_k_stride + w0;
-          vec128f v = r[kk];
-          if (a.accumulate) v = vadd(v, vload_lanes(o, wg));
-          if (a.bias != nullptr) v = vadd(v, vdup(a.bias[k0 + kk]));
-          if (a.relu) v = vmax(v, zero);
-          vstore_lanes(o, v, wg);
+          store_vec<FULL, false>(a, r[kk], (k0 + kk) * a.out_k_stride + w0,
+                                 k0 + kk, wg);
         }
       }
     }
-  } else {  // NHWC
-    for (int w = 0; w < a.wn; ++w) {
-      float* o = a.out + w * a.out_w_stride;
-      for (int k0 = 0; k0 < a.kn; k0 += 4) {
-        const int kg = a.kn - k0 < 4 ? a.kn - k0 : 4;
-        vec128f v = acc[w][k0 / 4];
-        if (a.accumulate) v = vadd(v, vload_lanes(o + k0, kg));
-        if (a.bias != nullptr) v = vadd(v, vload_lanes(a.bias + k0, kg));
-        if (a.relu) v = vmax(v, zero);
-        vstore_lanes(o + k0, v, kg);
+  } else {  // NHWC: K is contiguous (out_k_stride == 1)
+    for (int w = 0; w < wn; ++w) {
+      for (int k0 = 0; k0 < kn; k0 += 4) {
+        const int kg = FULL || kn - k0 >= 4 ? 4 : kn - k0;
+        store_vec<FULL, true>(a, acc[w][k0 / 4], w * a.out_w_stride + k0,
+                              k0, kg);
       }
     }
   }
@@ -199,11 +166,7 @@ NDIRECT_ALWAYS_INLINE void store_tile_edge(const MicroArgs& a,
 template <int VW, int VKV, TailMode TM>
 NDIRECT_ALWAYS_INLINE void store_policy(const MicroArgs& a,
                                         vec128f (&acc)[VW][VKV]) {
-  if constexpr (TM == TailMode::kInterior) {
-    store_tile_interior<VW, VKV>(a, acc);
-  } else {
-    store_tile_edge<VW, VKV>(a, acc);
-  }
+  store_tile<VW, VKV, TM == TailMode::kInterior>(a, acc);
 }
 
 // ---------------------------------------------------------------------------

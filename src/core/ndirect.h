@@ -16,6 +16,7 @@
 // or the one-shot helper `ndirect_conv(input, filter, p)`.
 #pragma once
 
+#include "core/epilogue.h"
 #include "core/fai.h"
 #include "core/threading.h"
 #include "core/tiling.h"
@@ -145,15 +146,6 @@ struct NdirectOptions {
   TelemetrySnapshot* telemetry = nullptr;
 };
 
-/// Store-time fusion of the ops that commonly follow a convolution
-/// (Section 10's operator-fusion direction): a per-channel bias
-/// (K floats) and/or ReLU, applied inside the micro-kernel's stores on
-/// the final C tile — no extra pass over the output.
-struct ConvEpilogue {
-  const float* bias = nullptr;  ///< K per-channel values, or nullptr
-  bool relu = false;
-};
-
 /// Planned convolution for one shape (framework-operator style).
 class NdirectConv {
  public:
@@ -173,6 +165,9 @@ class NdirectConv {
   /// whenever W alone already amortizes the tail.
   const ConvParams& exec_params() const { return exec_; }
 
+  /// Bias, residual and ReLU fused into the final stores
+  /// (core/epilogue.h). A residual is read with the output's layout:
+  /// NCHW [N,K,P,Q] for run/run_into, NHWC [N,P,Q,K] for run_nhwc.
   using Epilogue = ConvEpilogue;
 
   /// input NCHW [N,C,H,W], filter KCRS -> output NCHW [N,K,P,Q]. The

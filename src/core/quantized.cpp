@@ -139,6 +139,8 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
     const std::int32_t cadd = comp[kk];
     if (out.f32 != nullptr) {
       float* orow = out.f32 + off;
+      const float* rrow =
+          ep.residual != nullptr ? ep.residual + off : nullptr;
       const vec128f dq = vdup(ep.dequant_scale[kk]);
       const vec128f bb =
           vdup(ep.bias != nullptr ? ep.bias[kk] : 0.0f);
@@ -147,7 +149,10 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
         const int m = std::min(4, wn - w0);
         vec128f v = vfma(
             bb, vcvt_f32_i32(vadd_i32(vload_i32(arow + w0), cc)), dq);
-        if (ep.relu) v = vmax(v, vzero());
+        if (rrow != nullptr) {
+          v = vadd(v, m == 4 ? vload(rrow + w0) : vload_lanes(rrow + w0, m));
+        }
+        if (ep.relu) v = vrelu(v);
         if (m == 4) {
           vstore(orow + w0, v);
         } else {
@@ -245,6 +250,10 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
       1) {
     throw std::invalid_argument(
         "Int8Conv::run: set exactly one of Int8Output::i32/s8/f32");
+  }
+  if (ep.residual != nullptr && out.f32 == nullptr) {
+    throw std::invalid_argument(
+        "Int8Conv::run: a residual needs the f32 output");
   }
   const int vw = rb_.vw, vk = rb_.vk;
   const I8ExecShape ex = i8_exec_shape(p_);

@@ -5,7 +5,8 @@
 // packs inputs XORed with 0x80 and runs the SDOT/emulated/scalar policy
 // kernels of core/quantized_microkernel.h, finishing each tile with a
 // fused requantize epilogue (raw int32, saturating s8 with
-// round-to-nearest-even, or dequantized fp32 with optional bias+ReLU).
+// round-to-nearest-even, or dequantized fp32 through the shared store
+// epilogue: bias, residual, ReLU).
 //
 // Overflow contract: choose_qmax_int8() bounds filter magnitudes so a
 // C*R*S-long reduction provably fits int32 (products reach 127^2, so
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/epilogue.h"
 #include "core/quantized_microkernel.h"
 #include "runtime/aligned_buffer.h"
 #include "runtime/telemetry.h"
@@ -52,18 +54,20 @@ QuantizedFilterI8 quantize_filter_i8(const float* filter,
                                      const ConvParams& p);
 
 /// What the epilogue does with a tile's int32 accumulators (after the
-/// zero-point compensation is added). Exactly one output pointer in
-/// Int8Output selects the mode.
-struct Int8Epilogue {
-  // s8 requantize mode: q = clamp(rne(acc * requant_scale[k]) +
-  // out_zero_point, -127, 127), with the int32 bias added to acc first.
+/// zero-point compensation is added): the shared store epilogue
+/// (core/epilogue.h) plus the quantization scales. Exactly one output
+/// pointer in Int8Output selects the mode.
+///  - f32 dequantize: y = acc * dequant_scale[k] + bias[k], then the
+///    residual (NCHW, the output's layout), then ReLU.
+///  - s8 requantize: q = clamp(rne(acc * requant_scale[k]) +
+///    out_zero_point, -127, 127), with the int32 bias added to acc
+///    first; relu clamps at the output zero point. No residual.
+///  - i32: the raw accumulators; no epilogue.
+struct Int8Epilogue : ConvEpilogue {
   const float* requant_scale = nullptr;   ///< K; in_s*w_s[k]/out_s
   const std::int32_t* bias_i32 = nullptr; ///< K, pre-quantized; optional
   int out_zero_point = 0;
-  // f32 dequantize mode: y = acc * dequant_scale[k] + bias[k].
   const float* dequant_scale = nullptr;   ///< K; in_s*w_s[k]
-  const float* bias = nullptr;            ///< K fp32; optional
-  bool relu = false;  ///< fused max(., relu point) in s8/f32 modes
 };
 
 /// Destination [N,K,P,Q]; set exactly one. i32 receives the raw
@@ -125,8 +129,9 @@ class Int8Conv {
 
   /// u8 NCHW input -> epilogue-selected output. `in_zero_point` is the
   /// activation zero point in [0, 255]. Throws std::invalid_argument
-  /// unless exactly one Int8Output pointer is set, or when `filter` was
-  /// not packed for this engine's shape and block.
+  /// unless exactly one Int8Output pointer is set, when a residual comes
+  /// without an f32 output, or when `filter` was not packed for this
+  /// engine's shape and block.
   void run(const std::uint8_t* input, int in_zero_point,
            const PackedFilter& filter, const Int8Epilogue& ep,
            const Int8Output& out, Int8RunStats* stats = nullptr) const;

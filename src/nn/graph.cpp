@@ -262,26 +262,59 @@ const std::vector<NodeId>& Graph::consumers_of(NodeId id) const {
   return nodes_.at(static_cast<std::size_t>(id)).consumers;
 }
 
+void Graph::add_input(NodeId id, NodeId input) {
+  if (id <= 0 || id >= node_count() || input < 0 || input >= id) {
+    throw std::invalid_argument("add_input: bad node ids");
+  }
+  Node& node = nodes_[static_cast<std::size_t>(id)];
+  std::vector<TensorShape> in_shapes;
+  for (NodeId in : node.inputs) {
+    in_shapes.push_back(nodes_[static_cast<std::size_t>(in)].shape);
+  }
+  in_shapes.push_back(nodes_[static_cast<std::size_t>(input)].shape);
+  if (!(node.op->infer(in_shapes) == node.shape)) {
+    throw std::invalid_argument("add_input: the new input changes the shape");
+  }
+  node.inputs.push_back(input);
+  std::vector<NodeId>& consumers =
+      nodes_[static_cast<std::size_t>(input)].consumers;
+  consumers.insert(std::upper_bound(consumers.begin(), consumers.end(), id),
+                   id);
+}
+
 void Graph::remove(NodeId id) {
   if (id <= 0 || id >= node_count()) {
     throw std::invalid_argument("remove: bad node id");
   }
   const Node& node = nodes_[static_cast<std::size_t>(id)];
-  if (node.inputs.size() != 1) {
-    throw std::invalid_argument("remove: node must have one input");
+  NodeId src = -1;
+  if (node.inputs.size() == 1) {
+    src = node.inputs[0];
+  } else if (node.inputs.size() == 2) {
+    const NodeId early = std::min(node.inputs[0], node.inputs[1]);
+    const NodeId late = std::max(node.inputs[0], node.inputs[1]);
+    const std::vector<NodeId>& late_in =
+        nodes_[static_cast<std::size_t>(late)].inputs;
+    if (late_in.size() > 1 && late_in.back() == early) src = late;
   }
-  const NodeId src = node.inputs[0];
+  if (src < 0) {
+    throw std::invalid_argument(
+        "remove: node has no input to bypass it through");
+  }
   Node& source = nodes_[static_cast<std::size_t>(src)];
   if (!(source.shape == node.shape)) {
     throw std::invalid_argument("remove: node changes its input's shape");
   }
-  // Rewire: every edge out of `id` now leaves `src`.
+  // Rewire: every edge out of `id` now leaves `src`, and the edges into
+  // `id` are gone.
   for (NodeId c : node.consumers) {
     for (NodeId& in : nodes_[static_cast<std::size_t>(c)].inputs) {
       if (in == id) in = src;
     }
   }
-  std::erase(source.consumers, id);
+  for (NodeId in : node.inputs) {
+    std::erase(nodes_[static_cast<std::size_t>(in)].consumers, id);
+  }
   source.consumers.insert(source.consumers.end(), node.consumers.begin(),
                           node.consumers.end());
   std::sort(source.consumers.begin(), source.consumers.end());

@@ -96,11 +96,23 @@ class Graph {
   /// its node twice under x).
   const std::vector<NodeId>& consumers_of(NodeId id) const;
 
-  /// Delete node `id`, a one-input node whose output has its input's
-  /// shape (a BatchNorm or ReLU a graph pass folded into its conv): its
-  /// consumers read its input instead, and every later node moves down
-  /// one id. If it was the graph's output, its input becomes the
-  /// output. Throws std::invalid_argument for any other node.
+  /// Give node `id` one more input, `input` (an earlier node): a graph
+  /// pass that folds an op into `id` hands it that op's other operand
+  /// (fuse_conv_relu gives a conv the residual of the add it absorbs).
+  /// The op must accept the new input list and keep its output shape.
+  /// Throws std::invalid_argument otherwise, or when `input` >= `id`.
+  void add_input(NodeId id, NodeId input);
+
+  /// Delete node `id` and bypass it: its consumers read its input
+  /// instead, and every later node moves down one id. If it was the
+  /// graph's output, that input becomes the output. `id` must have its
+  /// bypass input's shape and be either
+  ///  - a one-input node (a BatchNorm or ReLU a graph pass folded into
+  ///    its conv), bypassed to that input, or
+  ///  - a two-input node whose later input took the earlier one as its
+  ///    last, extra input (an add whose residual a conv absorbed through
+  ///    add_input), bypassed to the later input.
+  /// Throws std::invalid_argument for any other node.
   void remove(NodeId id);
 
   /// Total conv flops of one forward pass.

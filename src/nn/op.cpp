@@ -113,14 +113,19 @@ void ConvOp::set_telemetry(TelemetrySnapshot* sink) {
 }
 
 TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
-  expect_arity("conv", in.size(), 1);
+  if (in.size() != 2) expect_arity("conv", in.size(), 1);
   const TensorShape& s = in[0];
   if (s.C != params_.C || s.H != params_.H || s.W != params_.W ||
       s.N != params_.N) {
     throw std::invalid_argument("conv: input shape " + s.to_string() +
                                 " does not match " + params_.to_string());
   }
-  return {params_.N, params_.K, params_.P(), params_.Q()};
+  const TensorShape out{params_.N, params_.K, params_.P(), params_.Q()};
+  if (in.size() == 2 && !(in[1] == out)) {
+    throw std::invalid_argument("conv: residual shape " + in[1].to_string() +
+                                " is not the output's " + out.to_string());
+  }
+  return out;
 }
 
 void ConvOp::set_quantized(bool on) {
@@ -139,7 +144,8 @@ bool ConvOp::repack_needed(bool have_packed) const {
   return true;
 }
 
-Tensor ConvOp::quantized_forward(const Tensor& x) const {
+Tensor ConvOp::quantized_forward(const Tensor& x,
+                                 const float* residual) const {
   if (!qengine_) {
     Int8ConvOptions qopts;
     qopts.pool = pool_;
@@ -162,6 +168,7 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
   epi.dequant_scale = qdequant_.data();
   epi.bias = bias_.empty() ? nullptr : bias_.data();
   epi.relu = fused_relu_;
+  epi.residual = residual;
   Tensor out({params_.N, params_.K, params_.P(), params_.Q()},
              Layout::NCHW);
   Int8Output dst;
@@ -173,10 +180,11 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
 
 Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& x = *in.at(0);
+  const float* residual = in.size() > 1 ? in[1]->data() : nullptr;
   Tensor out;
   switch (backend_) {
     case ConvBackend::Ndirect: {
-      if (quantized_) return quantized_forward(x);
+      if (quantized_) return quantized_forward(x, residual);
       if (!engine_) {
         // Inference configuration: persistent scratch arenas (the
         // default) plus the weights packed below, so steady-state
@@ -190,10 +198,12 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
       }
       if (repack_needed(packed_.size() != 0))
         packed_ = engine_->pack_filter(filter_.data());
-      // Bias and fused ReLU ride the store epilogue: zero extra passes.
+      // Bias, residual and fused ReLU ride the store epilogue: zero
+      // extra passes.
       ConvEpilogue epi;
       epi.bias = bias_.empty() ? nullptr : bias_.data();
       epi.relu = fused_relu_;
+      epi.residual = residual;
       out = engine_->run(x, packed_, epi);
       return out;
     }
@@ -218,30 +228,18 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
       out = naive_conv_nchw(x, filter_, params_);
       break;
   }
-  // Non-Ndirect backends cannot fuse into their stores; apply bias and
-  // ReLU in ONE vectorized pass over the output instead of the two
-  // scalar passes the seed ran (the Ndirect path returned above with
-  // both folded into the store epilogue).
-  if (!bias_.empty() || fused_relu_) {
+  // Non-Ndirect backends cannot fuse into their stores; they apply the
+  // same epilogue, in the same order, in one pass over each output plane
+  // (the Ndirect path returned above with it folded into the stores).
+  if (!bias_.empty() || residual != nullptr || fused_relu_) {
     const std::int64_t hw = std::int64_t{params_.P()} * params_.Q();
-    const vec128f zero = vzero();
     for (int n = 0; n < params_.N; ++n) {
       for (int k = 0; k < params_.K; ++k) {
-        const float b =
-            bias_.empty() ? 0.0f : bias_[static_cast<std::size_t>(k)];
-        float* plane =
-            out.data() + (std::int64_t{n} * params_.K + k) * hw;
-        const vec128f vb = vdup(b);
-        std::int64_t i = 0;
-        if (fused_relu_) {
-          for (; i + kVecLanes <= hw; i += kVecLanes)
-            vstore(plane + i, vmax(vadd(vload(plane + i), vb), zero));
-          for (; i < hw; ++i) plane[i] = std::max(plane[i] + b, 0.0f);
-        } else {
-          for (; i + kVecLanes <= hw; i += kVecLanes)
-            vstore(plane + i, vadd(vload(plane + i), vb));
-          for (; i < hw; ++i) plane[i] += b;
-        }
+        const std::int64_t plane = (std::int64_t{n} * params_.K + k) * hw;
+        finish_row(out.data() + plane, hw,
+                   bias_.empty() ? nullptr : bias_.data() + k,
+                   residual != nullptr ? residual + plane : nullptr,
+                   fused_relu_);
       }
     }
   }
@@ -275,7 +273,10 @@ TensorShape DepthwiseConvOp::infer(
 
 Tensor DepthwiseConvOp::forward(
     const std::vector<const Tensor*>& in) const {
-  return depthwise_conv_nchw(*in.at(0), filter_, params_);
+  ConvEpilogue epi;
+  epi.bias = bias_.empty() ? nullptr : bias_.data();
+  epi.relu = fused_relu_;
+  return depthwise_conv_nchw(*in.at(0), filter_, params_, nullptr, epi);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,9 +289,15 @@ TensorShape ReluOp::infer(const std::vector<TensorShape>& in) const {
 }
 
 Tensor ReluOp::forward(const std::vector<const Tensor*>& in) const {
-  Tensor out = in.at(0)->clone();
+  const Tensor& x = *in.at(0);
+  Tensor out(x.dims(), x.layout());
+  const float* s = x.data();
   float* d = out.data();
-  for (std::size_t i = 0; i < out.size(); ++i) d[i] = std::max(d[i], 0.0f);
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  // vrelu is std::max(x, 0.0f) lane by lane, NaN and -0 included.
+  for (; i + kVecLanes <= n; i += kVecLanes) vstore(d + i, vrelu(vload(s + i)));
+  for (; i < n; ++i) d[i] = std::max(s[i], 0.0f);
   return out;
 }
 
@@ -489,10 +496,15 @@ TensorShape AddOp::infer(const std::vector<TensorShape>& in) const {
 Tensor AddOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& a = *in.at(0);
   const Tensor& b = *in.at(1);
-  Tensor out = a.clone();
+  Tensor out(a.dims(), a.layout());
+  const float* x = a.data();
+  const float* y = b.data();
   float* d = out.data();
-  const float* s = b.data();
-  for (std::size_t i = 0; i < out.size(); ++i) d[i] += s[i];
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + kVecLanes <= n; i += kVecLanes)
+    vstore(d + i, vadd(vload(x + i), vload(y + i)));
+  for (; i < n; ++i) d[i] = x[i] + y[i];
   return out;
 }
 
@@ -584,14 +596,15 @@ Tensor SoftmaxOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& x = *in.at(0);
   const int N = static_cast<int>(x.dim(0));
   const std::int64_t feats = x.element_count() / N;
-  Tensor out = x.clone();
+  Tensor out(x.dims(), x.layout());
   for (int n = 0; n < N; ++n) {
+    const float* s = x.data() + n * feats;
     float* d = out.data() + n * feats;
-    float mx = d[0];
-    for (std::int64_t i = 1; i < feats; ++i) mx = std::max(mx, d[i]);
+    float mx = s[0];
+    for (std::int64_t i = 1; i < feats; ++i) mx = std::max(mx, s[i]);
     double sum = 0;
     for (std::int64_t i = 0; i < feats; ++i) {
-      d[i] = std::exp(d[i] - mx);
+      d[i] = std::exp(s[i] - mx);
       sum += d[i];
     }
     const float inv = static_cast<float>(1.0 / sum);

@@ -45,6 +45,11 @@ enum class ConvBackend {
 
 const char* conv_backend_name(ConvBackend b);
 
+/// A convolution with its store epilogue (core/epilogue.h): bias, an
+/// optional residual and an optional ReLU, applied in that order. It
+/// takes one input, or two: the second is the residual, a tensor of the
+/// output's shape that fuse_conv_relu wires in when it folds a
+/// conv -> add -> relu chain into the conv.
 class ConvOp final : public Op {
  public:
   /// Weights are initialized deterministically from `seed`; `bias` adds
@@ -66,7 +71,8 @@ class ConvOp final : public Op {
 
   /// Apply ReLU inside the convolution (set by the fuse_conv_relu pass;
   /// the Ndirect backend runs it in the store epilogue, other backends
-  /// apply it as a post-pass so semantics stay backend-invariant).
+  /// apply the same epilogue, in the same order, as one post-pass so
+  /// results stay backend-invariant).
   void set_fused_relu(bool fused) { fused_relu_ = fused; }
   bool fused_relu() const { return fused_relu_; }
 
@@ -74,8 +80,8 @@ class ConvOp final : public Op {
   /// activations are quantized u8 asymmetric per forward, weights s8
   /// symmetric per output channel (quantized and packed once, like the
   /// fp32 weights — see filter()), and the fp32 output is produced by
-  /// the per-channel dequantize epilogue with the op's bias and fused
-  /// ReLU — so the graph topology and every downstream op are
+  /// the per-channel dequantize epilogue with the op's bias, residual
+  /// and fused ReLU — so the graph topology and every downstream op are
   /// unchanged. Only the Ndirect backend; other backends ignore the
   /// flag.
   void set_quantized(bool on);
@@ -131,7 +137,7 @@ class ConvOp final : public Op {
   std::vector<float>& bias() { return bias_; }
 
  private:
-  Tensor quantized_forward(const Tensor& x) const;
+  Tensor quantized_forward(const Tensor& x, const float* residual) const;
   /// True when the packed weights of the running path must be rebuilt:
   /// `have_packed` is false, the filter went dirty, or its fingerprint
   /// moved. Records the current fingerprint and clears the flag.
@@ -166,7 +172,9 @@ class ConvOp final : public Op {
 };
 
 /// Depthwise convolution (Section 10.2: the C reduction removed).
-/// Used by the MobileNet builder's depthwise-separable blocks.
+/// Used by the MobileNet builder's depthwise-separable blocks. Like
+/// ConvOp it finishes through the store epilogue: a per-channel bias
+/// and a ReLU, which fold_batchnorm and fuse_conv_relu fill in.
 class DepthwiseConvOp final : public Op {
  public:
   DepthwiseConvOp(DepthwiseParams params, std::uint64_t seed);
@@ -177,9 +185,17 @@ class DepthwiseConvOp final : public Op {
 
   const DepthwiseParams& params() const { return params_; }
 
+  void set_fused_relu(bool fused) { fused_relu_ = fused; }
+  bool fused_relu() const { return fused_relu_; }
+
+  Tensor& filter() { return filter_; }  ///< [C, 1, R, S]
+  std::vector<float>& bias() { return bias_; }  ///< empty = no bias
+
  private:
   DepthwiseParams params_;
   Tensor filter_;  ///< [C, 1, R, S]
+  std::vector<float> bias_;
+  bool fused_relu_ = false;
 };
 
 class ReluOp final : public Op {

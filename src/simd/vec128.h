@@ -235,22 +235,10 @@ inline vec128f vmul(vec128f a, vec128f b) {
 #endif
 }
 
-inline vec128f vmax(vec128f a, vec128f b) {
-#if defined(NDIRECT_SIMD_NEON)
-  return {vmaxq_f32(a.v, b.v)};
-#elif defined(NDIRECT_SIMD_SSE)
-  return {_mm_max_ps(a.v, b.v)};
-#else
-  vec128f r;
-  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
-#endif
-}
-
 /// Lane-wise (a > b) ? a : b on every backend — x86 MAXPS's rule, so a
-/// tie (such as -0 vs +0) keeps b. vmax leaves ties to the ISA (NEON's
-/// FMAX orders -0 below +0); code that must match a scalar
-/// std::max(b, a) bit for bit uses this.
+/// tie (such as -0 vs +0) keeps b and a NaN in either operand yields b:
+/// bit for bit a scalar std::max(b, a). (NEON's FMAX would order -0
+/// below +0 and propagate NaN.)
 inline vec128f vmax_ordered(vec128f a, vec128f b) {
 #if defined(NDIRECT_SIMD_NEON)
   return {vbslq_f32(vcgtq_f32(a.v, b.v), a.v, b.v)};
@@ -262,6 +250,11 @@ inline vec128f vmax_ordered(vec128f a, vec128f b) {
   return r;
 #endif
 }
+
+/// Lane-wise std::max(a, 0.0f): (0 > a) ? 0 : a, so NaN and -0 pass
+/// through unchanged. Every ReLU in the library uses this one rule, so a
+/// ReLU fused into a store is bitwise the scalar ReluOp.
+inline vec128f vrelu(vec128f a) { return vmax_ordered(vzero(), a); }
 
 inline vec128f vmin(vec128f a, vec128f b) {
 #if defined(NDIRECT_SIMD_NEON)

@@ -215,8 +215,8 @@ TEST(Microkernel, EpilogueBiasAndReluInStorePath) {
   for (int k = 0; k < t.vk; ++k) {
     bias[static_cast<std::size_t>(k)] = 0.5f * static_cast<float>(k - 4);
   }
-  d.args.bias = bias.data();
-  d.args.relu = true;
+  d.args.epi.bias = bias.data();
+  d.args.epi.relu = true;
   ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
   fn(d.args);
   const std::vector<float> want = oracle(t, d.pack, d.ftile);
@@ -413,7 +413,8 @@ TEST(PolicyRegistry, ResolveKernelClassifies) {
 // dup+FMA round identically), so any difference is a store-path bug.
 // The sentinel fill doubles as an untouched-region check. epi selects
 // the epilogue: 0 = plain (also checked against the scalar oracle),
-// 1 = accumulate, 2 = bias + relu.
+// 1 = accumulate, 2 = bias + relu, 3 = accumulate + bias + residual +
+// relu (also checked against the oracle).
 void expect_policy_matches_generic(const KernelEntry& e, int wn, int kn,
                                    int epi, bool nhwc, unsigned seed) {
   const TileProblem t{e.vw, e.vk, 3, 2, e.S, e.str};
@@ -423,6 +424,10 @@ void expect_policy_matches_generic(const KernelEntry& e, int wn, int kn,
   for (int k = 0; k < t.vk; ++k) {
     bias[static_cast<std::size_t>(k)] = 0.25f * static_cast<float>(k - 3);
   }
+  std::vector<float> residual(d1.out.size());
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual[i] = 0.125f * static_cast<float>(static_cast<int>(i % 11) - 5);
+  }
   for (TileData* d : {&d1, &d2}) {
     MicroArgs& a = d->args;
     a.wn = wn;
@@ -431,13 +436,14 @@ void expect_policy_matches_generic(const KernelEntry& e, int wn, int kn,
       a.out_k_stride = 1;
       a.out_w_stride = t.vk;
     }
-    const float fill = epi == 1 ? 2.5f : -77.0f;
+    const float fill = epi == 1 || epi == 3 ? 2.5f : -77.0f;
     for (float& v : d->out) v = fill;
-    a.accumulate = epi == 1;
-    if (epi == 2) {
-      a.bias = bias.data();
-      a.relu = true;
+    a.accumulate = epi == 1 || epi == 3;
+    if (epi >= 2) {
+      a.epi.bias = bias.data();
+      a.epi.relu = true;
     }
+    if (epi == 3) a.epi.residual = residual.data();
   }
   e.compute(d1.args);
   compute_kernel_generic(d2.args, t.vw, t.vk);
@@ -448,16 +454,22 @@ void expect_policy_matches_generic(const KernelEntry& e, int wn, int kn,
         << wn << " kn=" << kn << " epi=" << epi
         << (nhwc ? " nhwc" : " nchw") << " out[" << i << "]";
   }
-  if (epi == 0) {
+  if (epi == 0 || epi == 3) {
     const std::vector<float> want = oracle(t, d1.pack, d1.ftile);
     for (int w = 0; w < wn; ++w) {
       for (int k = 0; k < kn; ++k) {
         const std::size_t idx = static_cast<std::size_t>(
             k * d1.args.out_k_stride + w * d1.args.out_w_stride);
-        ASSERT_NEAR(d1.out[idx],
-                    want[static_cast<std::size_t>(w) * t.vk + k], 1e-4f)
+        float expect = want[static_cast<std::size_t>(w) * t.vk + k];
+        if (epi == 3) {
+          expect = std::max(2.5f + expect +
+                                bias[static_cast<std::size_t>(k)] +
+                                residual[idx],
+                            0.0f);
+        }
+        ASSERT_NEAR(d1.out[idx], expect, 1e-4f)
             << e.vw << "x" << e.vk << " S" << e.S << " w=" << w
-            << " k=" << k;
+            << " k=" << k << " epi=" << epi;
       }
     }
   }
@@ -477,7 +489,7 @@ TEST(PolicyRegistry, ParitySweepEveryPolicyMatchesOracleAndGeneric) {
       shapes.emplace_back(e.vw / 2 + 1, e.vk / 2 + 1);
     }
     for (const auto& [wn, kn] : shapes) {
-      for (int epi = 0; epi < 3; ++epi) {
+      for (int epi = 0; epi < 4; ++epi) {
         expect_policy_matches_generic(e, wn, kn, epi, /*nhwc=*/false,
                                       seed++);
       }
@@ -487,12 +499,24 @@ TEST(PolicyRegistry, ParitySweepEveryPolicyMatchesOracleAndGeneric) {
 
 TEST(PolicyRegistry, EdgeStoreNhwcParity) {
   // The edge store's NHWC path (partial k-vectors, no transpose) on a
-  // both-ragged tile with the full bias+relu epilogue.
+  // both-ragged tile with the bias+relu and the full residual epilogue.
   unsigned seed = 900;
   for (const KernelEntry& e : kernel_registry()) {
     if (e.tail != TailMode::kEdge) continue;
-    expect_policy_matches_generic(e, e.vw - 1, e.vk - 1, /*epi=*/2,
-                                  /*nhwc=*/true, seed++);
+    for (int epi : {2, 3}) {
+      expect_policy_matches_generic(e, e.vw - 1, e.vk - 1, epi,
+                                    /*nhwc=*/true, seed++);
+    }
+  }
+}
+
+TEST(PolicyRegistry, InteriorStoreNhwcResidualParity) {
+  // The interior store's NHWC path with the full residual epilogue.
+  unsigned seed = 1300;
+  for (const KernelEntry& e : kernel_registry()) {
+    if (e.tail != TailMode::kInterior) continue;
+    expect_policy_matches_generic(e, e.vw, e.vk, /*epi=*/3, /*nhwc=*/true,
+                                  seed++);
   }
 }
 

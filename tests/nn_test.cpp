@@ -2,6 +2,7 @@
 // the BN-folding optimization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -216,6 +217,60 @@ TEST(Ops, SoftmaxIsANormalizedDistribution) {
     }
     EXPECT_NEAR(sum, 1.0, 1e-5);
   }
+}
+
+TEST(Ops, AddAndReluMatchTheScalarLoopsOnNanAndSignedZeros) {
+  // AddOp and ReluOp write a fresh output in one vectorized pass. Fed
+  // NaN, -0 and +0 in every lane position (19 elements: whole vectors
+  // and a scalar tail), they must reproduce the scalar loops they
+  // replaced bit for bit: d += s, and d = std::max(d, 0.0f), which keeps
+  // NaN and -0.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {nan, -0.0f, 0.0f, -1.5f, 2.25f, -nan, -inf, inf};
+  Tensor a({1, 1, 1, 19}, Layout::NCHW);
+  Tensor b({1, 1, 1, 19}, Layout::NCHW);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = pool[i % 8];
+    b[i] = pool[(i * 3 + 1) % 8];
+  }
+  const Tensor a_before = a.clone();
+
+  Tensor add_want = a.clone();
+  for (std::size_t i = 0; i < add_want.size(); ++i) add_want[i] += b[i];
+  const Tensor add_got = AddOp().forward({&a, &b});
+  EXPECT_TRUE(bitwise_equal(add_got, add_want));
+
+  Tensor relu_want = a.clone();
+  for (std::size_t i = 0; i < relu_want.size(); ++i) {
+    relu_want[i] = std::max(relu_want[i], 0.0f);
+  }
+  const Tensor relu_got = ReluOp().forward({&a});
+  EXPECT_TRUE(bitwise_equal(relu_got, relu_want));
+  EXPECT_TRUE(std::isnan(relu_got[0]));
+  EXPECT_TRUE(std::signbit(relu_got[1]));  // -0 stays -0
+
+  // Neither op writes its input.
+  EXPECT_TRUE(bitwise_equal(a, a_before));
+  // Nor does softmax, whose output matches the in-place loop it had.
+  Tensor logits({2, 7, 1, 1}, Layout::NCHW);
+  fill_random(logits, 5);
+  const Tensor logits_before = logits.clone();
+  Tensor sm_want = logits.clone();
+  for (int n = 0; n < 2; ++n) {
+    float* d = sm_want.data() + n * 7;
+    float mx = d[0];
+    for (int i = 1; i < 7; ++i) mx = std::max(mx, d[i]);
+    double sum = 0;
+    for (int i = 0; i < 7; ++i) {
+      d[i] = std::exp(d[i] - mx);
+      sum += d[i];
+    }
+    const float inv = static_cast<float>(1.0 / sum);
+    for (int i = 0; i < 7; ++i) d[i] *= inv;
+  }
+  EXPECT_TRUE(bitwise_equal(SoftmaxOp().forward({&logits}), sm_want));
+  EXPECT_TRUE(bitwise_equal(logits, logits_before));
 }
 
 TEST(Ops, FcMatchesManualDotProduct) {
@@ -488,6 +543,34 @@ TEST(GraphEdit, RemoveRejectsNodesItCannotBypass) {
   EXPECT_EQ(g.inputs_of(1), (std::vector<NodeId>{0, 0}));
   EXPECT_EQ(g.consumers_of(0), (std::vector<NodeId>{1, 1}));
   EXPECT_EQ(g.consumers_of(1), std::vector<NodeId>{2});
+}
+
+TEST(GraphEdit, TwoInputNodeIsBypassedOnlyThroughTheInputThatAbsorbedIt) {
+  // conv(x) + x: the add can go only once the conv took x as its own
+  // (residual) input; its consumers then read the conv.
+  Graph g(1, 4, 8, 8);
+  const NodeId c = g.add(
+      std::make_unique<ConvOp>(small_conv(4, 4), ConvBackend::Ndirect, 3,
+                               false),
+      {0});
+  const NodeId sum = g.add(std::make_unique<AddOp>(), {0, c});
+  g.add(std::make_unique<ReluOp>(), {sum});
+  // The later input does not read the earlier one as an extra input.
+  EXPECT_THROW(g.remove(sum), std::invalid_argument);
+  // add_input: only an earlier node, only a shape the op accepts.
+  EXPECT_THROW(g.add_input(c, c), std::invalid_argument);
+  EXPECT_THROW(g.add_input(c, sum), std::invalid_argument);
+  EXPECT_THROW(g.add_input(sum, 0), std::invalid_argument);  // 3 inputs
+  EXPECT_EQ(g.inputs_of(c), std::vector<NodeId>{0});
+
+  g.add_input(c, 0);
+  EXPECT_EQ(g.inputs_of(c), (std::vector<NodeId>{0, 0}));
+  EXPECT_EQ(g.consumers_of(0), (std::vector<NodeId>{c, c, sum}));
+  g.remove(sum);
+  EXPECT_EQ(g.node_count(), 3);
+  EXPECT_EQ(g.consumers_of(0), (std::vector<NodeId>{c, c}));
+  EXPECT_EQ(g.consumers_of(c), std::vector<NodeId>{2});
+  EXPECT_EQ(g.inputs_of(2), std::vector<NodeId>{c});
 }
 
 TEST(GraphEdit, GraphWithoutOpsReturnsACopy) {

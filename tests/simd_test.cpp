@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "simd/vec128.h"
 
@@ -35,18 +37,32 @@ TEST(Vec128, ZeroAndBroadcast) {
 
 TEST(Vec128, Arithmetic) {
   const float a[4] = {1, 2, 3, 4}, b[4] = {10, 20, 30, 40};
-  float sum[4], diff[4], prod[4], mx[4], mn[4];
+  float sum[4], diff[4], prod[4], mn[4];
   vstore(sum, vadd(vload(a), vload(b)));
   vstore(diff, vsub(vload(b), vload(a)));
   vstore(prod, vmul(vload(a), vload(b)));
-  vstore(mx, vmax(vload(a), vload(b)));
   vstore(mn, vmin(vload(a), vload(b)));
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(sum[i], a[i] + b[i]);
     EXPECT_EQ(diff[i], b[i] - a[i]);
     EXPECT_EQ(prod[i], a[i] * b[i]);
-    EXPECT_EQ(mx[i], b[i]);
     EXPECT_EQ(mn[i], a[i]);
+  }
+}
+
+TEST(Vec128, ReluIsStdMaxWithZeroBitForBit) {
+  // The ReLU every fused store applies must be the scalar ReluOp's
+  // std::max(x, 0.0f), NaN and -0 included.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float in[8] = {nan, -0.0f, 0.0f, -2.5f, 3.0f, -nan, -1e-30f, 1e30f};
+  for (int base : {0, 4}) {
+    float got[4];
+    vstore(got, vrelu(vload(in + base)));
+    for (int i = 0; i < 4; ++i) {
+      const float want = std::max(in[base + i], 0.0f);
+      EXPECT_EQ(std::memcmp(&got[i], &want, sizeof(float)), 0)
+          << "lane " << base + i;
+    }
   }
 }
 
