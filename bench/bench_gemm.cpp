@@ -69,11 +69,13 @@ void BM_GemmMicrokernel8x12(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmMicrokernel8x12)->Arg(64)->Arg(256);
 
-// nDirect main micro-kernel (12x8, 3x3 window) on an L1-resident tile:
-// the Algorithm 3 inner loop in isolation.
-void BM_NdirectMicrokernel12x8(benchmark::State& state) {
+// nDirect main micro-kernel (the planner's 3x3 block at the build's
+// lane count: 12x8 at 4 lanes, 24x16 at 16) on an L1-resident tile: the
+// Algorithm 3 inner loop in isolation.
+void BM_NdirectMicrokernel3x3(benchmark::State& state) {
   const int tc = static_cast<int>(state.range(0));
-  const int R = 3, S = 3, vw = 12, vk = 8;
+  const RegisterBlock rb = solve_kernel_block(3);
+  const int R = 3, S = 3, vw = rb.vw, vk = rb.vk;
   const int packw = vw + S - 1;
   AlignedBuffer<float> pack(static_cast<std::size_t>(tc) * R * packw + 4);
   AlignedBuffer<float> ftile(static_cast<std::size_t>(tc) * R * S * vk);
@@ -109,13 +111,14 @@ void BM_NdirectMicrokernel12x8(benchmark::State& state) {
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_NdirectMicrokernel12x8)->Arg(16)->Arg(64);
+BENCHMARK(BM_NdirectMicrokernel3x3)->Arg(16)->Arg(64);
 
 // The same tile through the runtime-parameterized kernel: the gap is
 // what the Ansor-substitute "generic codegen" loses.
 void BM_NdirectMicrokernelGeneric(benchmark::State& state) {
   const int tc = static_cast<int>(state.range(0));
-  const int R = 3, S = 3, vw = 12, vk = 8;
+  const RegisterBlock rb = solve_kernel_block(3);
+  const int R = 3, S = 3, vw = rb.vw, vk = rb.vk;
   const int packw = vw + S - 1;
   AlignedBuffer<float> pack(static_cast<std::size_t>(tc) * R * packw + 4);
   AlignedBuffer<float> ftile(static_cast<std::size_t>(tc) * R * S * vk);

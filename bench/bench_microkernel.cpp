@@ -65,7 +65,10 @@ int main() {
   std::mt19937 rng(42);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
 
-  for (const Shape& s : kShapes) {
+  for (Shape s : kShapes) {
+    // The shapes name 4-lane blocks; a wider build runs them with Vk
+    // rounded up to its lane count (12x8 is 12x16 at 16 lanes).
+    s.vk = (s.vk + kKernelLanes - 1) / kKernelLanes * kKernelLanes;
     // The engine's tail rounding: the smallest multiple-of-4 block
     // covering wn (capped at the conv's vw).
     const int vw_used = std::min(s.vw, (s.wn + 3) / 4 * 4);

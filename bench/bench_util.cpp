@@ -16,6 +16,7 @@
 #include "core/ndirect.h"
 #include "runtime/cpu_info.h"
 #include "runtime/timer.h"
+#include "simd/vec.h"
 #include "tensor/rng.h"
 #include "tensor/transforms.h"
 
@@ -206,7 +207,10 @@ std::string host_key() {
   }
   while (!key.empty() && key.back() == '-') key.pop_back();
   if (key.empty()) key = "host";
-  return key + "-" + std::to_string(info.logical_cores) + "c";
+  // The fp32 kernels' lane count is part of the key: a 16-lane build's
+  // numbers are no baseline for a 4-lane build on the same CPU.
+  return key + "-" + std::to_string(info.logical_cores) + "c-f32x" +
+         std::to_string(kKernelLanes);
 }
 
 std::string host_metadata_json() {
@@ -223,6 +227,7 @@ std::string host_metadata_json() {
   s += info.asimddp ? "true" : "false";
   s += ", \"i8mm\": ";
   s += info.i8mm ? "true" : "false";
+  s += ", \"fp32_lanes\": " + std::to_string(kKernelLanes);
   s += ", \"alpha\": " + std::string(alpha_buf);
   s += ", \"git_sha\": " + json_quote(NDIRECT_GIT_SHA);
   s += ", \"compiler\": " + json_quote(NDIRECT_COMPILER_ID);

@@ -63,14 +63,15 @@ std::string fmt(double v, int decimals = 1);
 double geomean(const std::vector<double>& values);
 
 /// Filesystem-safe identity of the measuring host — the sanitized CPU
-/// model plus the logical core count (e.g. "intel-xeon-8375c-4c").
-/// bench_compare.py keys its committed baselines by this string, so two
-/// different machines never gate against each other's numbers.
+/// model, the logical core count and the fp32 kernels' lane count
+/// (e.g. "intel-xeon-8375c-4c-f32x16"). bench_compare.py keys its
+/// committed baselines by this string, so two different machines, or
+/// two kernel widths, never gate against each other's numbers.
 std::string host_key();
 
 /// The "host" object stamped into every BENCH_*.json: cpu model, core
-/// count, the measured pack/compute alpha, and the git SHA + compiler +
-/// flags the binary was built from.
+/// count, fp32 kernel lanes, the measured pack/compute alpha, and the
+/// git SHA + compiler + flags the binary was built from.
 std::string host_metadata_json();
 
 /// Machine-readable result sink shared by the benches: collect keyed

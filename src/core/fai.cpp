@@ -38,10 +38,11 @@ std::vector<RegisterBlock> feasible_register_blocks(int S, int lanes,
   return blocks;
 }
 
-RegisterBlock solve_register_block(int S, int lanes, int regs) {
-  RegisterBlock best{lanes, lanes};
+RegisterBlock fai_maximal_block(const std::vector<RegisterBlock>& blocks,
+                                int S, RegisterBlock fallback) {
+  RegisterBlock best = fallback;
   double best_fai = -1.0;
-  for (const RegisterBlock& b : feasible_register_blocks(S, lanes, regs)) {
+  for (const RegisterBlock& b : blocks) {
     const double fai = fai_microkernel(b.vw, b.vk, S);
     const bool better =
         fai > best_fai + 1e-12 ||
@@ -53,6 +54,11 @@ RegisterBlock solve_register_block(int S, int lanes, int regs) {
     }
   }
   return best;
+}
+
+RegisterBlock solve_register_block(int S, int lanes, int regs) {
+  return fai_maximal_block(feasible_register_blocks(S, lanes, regs), S,
+                           {lanes, lanes});
 }
 
 }  // namespace ndirect

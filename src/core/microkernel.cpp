@@ -4,10 +4,38 @@
 #include <utility>
 
 #include "core/microkernel_generator.h"
-#include "simd/vec128.h"
+#include "simd/vec.h"
 
 namespace ndirect {
 namespace {
+
+constexpr int L = kKernelLanes;
+using V = vec<L>;
+
+// Every (s, w) tap of one (c, r) row, runtime S and stride.
+template <int VW, int VKV>
+inline void cr_compute_runtime(V (&acc)[VW][VKV], const MicroArgs& a,
+                               const float* brow, const float* frow) {
+  constexpr int VK = VKV * L;
+  for (int s = 0; s < a.S; ++s) {
+    V f[VKV];
+    for (int j = 0; j < VKV; ++j) f[j] = V::load(frow + s * VK + L * j);
+    const float* b = brow + s;
+    for (int w = 0; w < VW; ++w) {
+      const V x = V::dup(b[w * a.str]);
+      for (int j = 0; j < VKV; ++j) acc[w][j] = V::fma(acc[w][j], x, f[j]);
+    }
+  }
+}
+
+template <int VW, int VKV>
+inline void store_runtime(const MicroArgs& a, const V (&acc)[VW][VKV]) {
+  if (a.wn == VW && a.kn == VKV * L) {
+    detail::store_wide_tile<L, VW, VKV, true>(a, acc);
+  } else {
+    detail::store_wide_tile<L, VW, VKV, false>(a, acc);
+  }
+}
 
 // Runtime-S/stride specialized kernels: compile-time block, runtime
 // kernel-width loops. These cover feasible blocks whose (S, str) has no
@@ -16,42 +44,29 @@ namespace {
 // ragged tiles stay vectorized here too.
 template <int VW, int VKV>
 void compute_kernel(const MicroArgs& a) {
-  constexpr int VK = VKV * 4;
-  vec128f acc[VW][VKV];
+  constexpr int VK = VKV * L;
+  V acc[VW][VKV];
   for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vzero();
+    for (int j = 0; j < VKV; ++j) acc[w][j] = V::zero();
   }
   for (int c = 0; c < a.tc; ++c) {
     const float* brows = a.pack + c * a.pack_c_stride;
     const float* fc = a.ftile + c * a.f_c_stride;
     for (int r = 0; r < a.R; ++r) {
-      const float* brow = brows + r * a.pack_r_stride;
-      const float* frow = fc + static_cast<std::int64_t>(r) * a.S * VK;
-      for (int s = 0; s < a.S; ++s) {
-        vec128f f[VKV];
-        for (int j = 0; j < VKV; ++j) f[j] = vload(frow + s * VK + 4 * j);
-        const float* b = brow + s;
-        for (int w = 0; w < VW; ++w) {
-          const vec128f x = vdup(b[w * a.str]);
-          for (int j = 0; j < VKV; ++j) acc[w][j] = vfma(acc[w][j], x, f[j]);
-        }
-      }
+      cr_compute_runtime(acc, a, brows + r * a.pack_r_stride,
+                         fc + static_cast<std::int64_t>(r) * a.S * VK);
     }
   }
-  if (a.wn == VW && a.kn == VK) {
-    detail::store_tile<VW, VKV, true>(a, acc);
-  } else {
-    detail::store_tile<VW, VKV, false>(a, acc);
-  }
+  store_runtime(a, acc);
 }
 
 // Fused packing + first-kv compute (Section 5.3), runtime-S form.
 template <int VW, int VKV>
 void fused_kernel(const MicroArgs& a, const PackGeometry& g) {
-  constexpr int VK = VKV * 4;
-  vec128f acc[VW][VKV];
+  constexpr int VK = VKV * L;
+  V acc[VW][VKV];
   for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vzero();
+    for (int j = 0; j < VKV; ++j) acc[w][j] = V::zero();
   }
   for (int c = 0; c < a.tc; ++c) {
     float* brows = a.pack + c * a.pack_c_stride;
@@ -59,28 +74,16 @@ void fused_kernel(const MicroArgs& a, const PackGeometry& g) {
     for (int r = 0; r < a.R; ++r) {
       float* brow = brows + r * a.pack_r_stride;
       detail::pack_row(brow, g, c, g.ih0 + r, a.packw);
-      const float* frow = fc + static_cast<std::int64_t>(r) * a.S * VK;
-      for (int s = 0; s < a.S; ++s) {
-        vec128f f[VKV];
-        for (int j = 0; j < VKV; ++j) f[j] = vload(frow + s * VK + 4 * j);
-        const float* b = brow + s;
-        for (int w = 0; w < VW; ++w) {
-          const vec128f x = vdup(b[w * a.str]);
-          for (int j = 0; j < VKV; ++j) acc[w][j] = vfma(acc[w][j], x, f[j]);
-        }
-      }
+      cr_compute_runtime(acc, a, brow,
+                         fc + static_cast<std::int64_t>(r) * a.S * VK);
     }
   }
-  if (a.wn == VW && a.kn == VK) {
-    detail::store_tile<VW, VKV, true>(a, acc);
-  } else {
-    detail::store_tile<VW, VKV, false>(a, acc);
-  }
+  store_runtime(a, acc);
 }
 
-// Runtime-S dispatch table, generated from the same Eq. 3 predicate as
-// the policy registry (S = 1 gives the union over all kernel widths:
-// the input-row register cost only grows with S).
+// Runtime-S dispatch table, generated from the same predicate as the
+// policy registry (S = 1 gives the union over all kernel widths: the
+// register cost only grows with S).
 struct RuntimeEntry {
   int vw = 0;
   int vk = 0;
@@ -90,17 +93,17 @@ struct RuntimeEntry {
 
 template <int VW, int VK, typename Table>
 constexpr void emit_runtime_block(Table& table, std::size_t& i) {
-  if constexpr (kernel_block_feasible(VW, VK, 1)) {
-    table[i++] = RuntimeEntry{VW, VK, &compute_kernel<VW, VK / 4>,
-                              &fused_kernel<VW, VK / 4>};
+  if constexpr (detail::kernel_block_built(VW, VK, 1)) {
+    table[i++] = RuntimeEntry{VW, VK, &compute_kernel<VW, VK / L>,
+                              &fused_kernel<VW, VK / L>};
   }
 }
 
 template <int VW, typename Table>
 constexpr void emit_runtime_row(Table& table, std::size_t& i) {
   [&]<int... Ks>(std::integer_sequence<int, Ks...>) {
-    (emit_runtime_block<VW, (Ks + 1) * 4>(table, i), ...);
-  }(std::make_integer_sequence<int, kMaxVk / 4>{});
+    (emit_runtime_block<VW, (Ks + 1) * L>(table, i), ...);
+  }(std::make_integer_sequence<int, kMaxVk / L>{});
 }
 
 constexpr auto build_runtime_table() {
@@ -186,6 +189,17 @@ void fused_kernel_generic(const MicroArgs& a, const PackGeometry& geom,
                           int vw, int vk) {
   pack_window(a.pack, geom, a.tc, a.R, a.packw);
   compute_kernel_generic(a, vw, vk);
+}
+
+RegisterBlock solve_kernel_block(int S) {
+  // The runtime table holds the S = 1 set, a superset of every S's.
+  std::vector<RegisterBlock> fits;
+  for (const RegisterBlock& b : microkernel_blocks()) {
+    if (detail::kernel_block_built(b.vw, b.vk, S)) fits.push_back(b);
+  }
+  // A kernel width no block fits falls back to the smallest block (the
+  // runtime-S kernels take any S).
+  return fai_maximal_block(fits, S, {4, L});
 }
 
 const std::vector<KernelEntry>& kernel_registry() {

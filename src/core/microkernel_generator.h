@@ -1,14 +1,18 @@
 // Policy-driven micro-kernel generator (internal header).
 //
-// A *policy* is the compile-time tuple (Vw, Vkv, S, stride, tail-mode).
-// policy_compute_kernel / policy_fused_kernel expand the fully-unrolled
-// Algorithm 3 body for one policy — every (w, s) tap one broadcast FMA
-// into the register-resident Vw x Vk accumulator tile, in the tap order
-// the target's register budget allows (input_stationary_taps) — and
-// finish with either the branch-free interior store or the masked
-// partial-lane edge store. build_policy_table<S>() folds over the whole
-// (Vw, Vk) grid at compile time, keeping exactly the blocks that satisfy
-// the Eq. 3 register budget, and emits a constexpr KernelEntry table.
+// A *policy* is the compile-time tuple (L, Vw, Vkv, S, stride,
+// tail-mode): L fp32 lanes per vector (simd/vec.h), Vkv = Vk / L filter
+// vectors per tap. policy_compute_kernel / policy_fused_kernel expand
+// the fully-unrolled Algorithm 3 body for one policy — every (w, s) tap
+// one broadcast FMA into the register-resident Vw x Vk accumulator
+// tile, in the tap order the target's register budget allows
+// (input_stationary_taps) — and finish with either the branch-free
+// interior store or the masked partial-lane edge store. Both stores are
+// 128-bit: the wide accumulators are split into quarters first, so one
+// store path (and one ConvEpilogue) serves every width.
+// build_policy_table<S>() folds over the whole (Vw, Vk) grid at compile
+// time, keeping exactly the blocks kernel_block_feasible admits at
+// kKernelLanes, and emits a constexpr KernelEntry table.
 // The table for each S lives in its own translation unit
 // (microkernel_policies_s{1,3,5,7}.cpp) so the instantiations compile in
 // parallel; microkernel.cpp aggregates the four spans into the public
@@ -25,7 +29,7 @@
 #include <utility>
 
 #include "core/microkernel.h"
-#include "simd/vec128.h"
+#include "simd/vec.h"
 
 // A policy TU instantiates ~56 fully-unrolled kernels, which overflows
 // GCC's per-TU inline-growth budget: without forcing the issue, the
@@ -45,13 +49,11 @@
 // the tap order of input_stationary_taps: on NEON it keeps the window,
 // the filters and the tile within the 32 registers (Eq. 3 arithmetic);
 // on x86 the broadcast operand comes from memory, so only filters and
-// tile compete for registers. The kernel-matrix CI job checks (a) on
-// the compiled objects: no local function, no call but memcpy/memset
-// (pack_row's, in the fused kernels). On x86 GCC still spills a few
-// registers per row in the blocks whose S filter sets do not fit beside
-// the tile (8x12 at S >= 3, 12x8 at S >= 5); none of them is a
-// ResNet-50 layer's block, and each spills less than it did in the
-// filter-stationary order (EXPERIMENTS.md).
+// tile compete for registers, and the wide registries admit only blocks
+// whose tile and S filter sets fit (broadcast_register_cost). The
+// kernel-matrix CI job checks (a) on the compiled objects: no local
+// function, no call but memcpy/memset (pack_row's, in the fused
+// kernels).
 #if defined(__GNUC__) || defined(__clang__)
 #define NDIRECT_ALWAYS_INLINE inline __attribute__((always_inline))
 #define NDIRECT_FLATTEN __attribute__((flatten))
@@ -122,18 +124,19 @@ NDIRECT_ALWAYS_INLINE void store_vec(const MicroArgs& a, vec128f v,
   }
 }
 
-// Tile store. FULL (the interior store) requires wn == VW and kn == VK
-// and has compile-time bounds: branch-free. Otherwise (the edge store)
-// any wn <= VW, kn <= VK (including kn % 4 != 0) goes through
-// partial-lane loads/stores, so ragged tile borders stay vectorized — no
-// scalar spill-and-copy. NCHW uses 4x4 in-register transposes to turn
-// the K-vectorized accumulators into W-contiguous stores; NHWC stores
-// the accumulators directly.
-template <int VW, int VKV, bool FULL>
+// Tile store of 128-bit quarters: acc[w][j] holds channels 4j..4j+3 of
+// column w. FULL (the interior store) requires wn == VW and
+// kn == 4 * VQ and has compile-time bounds: branch-free. Otherwise (the
+// edge store) any wn <= VW, kn <= 4 * VQ (including kn % 4 != 0) goes
+// through partial-lane loads/stores, so ragged tile borders stay
+// vectorized — no scalar spill-and-copy. NCHW uses 4x4 in-register
+// transposes to turn the K-vectorized accumulators into W-contiguous
+// stores; NHWC stores the accumulators directly.
+template <int VW, int VQ, bool FULL>
 NDIRECT_ALWAYS_INLINE void store_tile(const MicroArgs& a,
-                                      vec128f (&acc)[VW][VKV]) {
+                                      vec128f (&acc)[VW][VQ]) {
   const int wn = FULL ? VW : a.wn;
-  const int kn = FULL ? VKV * 4 : a.kn;
+  const int kn = FULL ? VQ * 4 : a.kn;
   if (a.out_w_stride == 1) {  // NCHW
     for (int k0 = 0; k0 < kn; k0 += 4) {
       const int j = k0 / 4;
@@ -163,10 +166,26 @@ NDIRECT_ALWAYS_INLINE void store_tile(const MicroArgs& a,
   }
 }
 
-template <int VW, int VKV, TailMode TM>
-NDIRECT_ALWAYS_INLINE void store_policy(const MicroArgs& a,
-                                        vec128f (&acc)[VW][VKV]) {
-  store_tile<VW, VKV, TM == TailMode::kInterior>(a, acc);
+// Split each L-lane accumulator into its L/4 128-bit quarters, in
+// channel order.
+template <int L, int VW, int VKV, int... Qs>
+NDIRECT_ALWAYS_INLINE void split_quarters(const vec<L> (&acc)[VW][VKV],
+                                          vec128f (&q)[VW][VKV * L / 4],
+                                          std::integer_sequence<int, Qs...>) {
+  for (int w = 0; w < VW; ++w) {
+    for (int j = 0; j < VKV; ++j) {
+      ((q[w][j * (L / 4) + Qs] = acc[w][j].template quarter<Qs>()), ...);
+    }
+  }
+}
+
+/// Store the L-lane tile through the 128-bit store_tile.
+template <int L, int VW, int VKV, bool FULL>
+NDIRECT_ALWAYS_INLINE void store_wide_tile(const MicroArgs& a,
+                                           const vec<L> (&acc)[VW][VKV]) {
+  vec128f q[VW][VKV * L / 4];
+  split_quarters(acc, q, std::make_integer_sequence<int, L / 4>{});
+  store_tile<VW, VKV * L / 4, FULL>(a, q);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,11 +196,11 @@ NDIRECT_ALWAYS_INLINE void store_policy(const MicroArgs& a,
 // never a generic lambda (see the note on flatten at the top).
 
 // The packed input row as the FMAs read it: element I is the scalar
-// operand of every (w, s) tap with w*STR + s == I. NEON preloads the
-// window into ceil(packw/4) registers and reads element I as a lane
-// (FMLA by element); x86 broadcasts it from memory, so there the window
-// costs no registers.
-template <int XV>
+// operand of every (w, s) tap with w*STR + s == I. NEON (4 lanes)
+// preloads the window into ceil(packw/4) registers and reads element I
+// as a lane (FMLA by element); x86 broadcasts it from memory at any
+// width, so there the window costs no registers.
+template <int L, int XV>
 struct InputWindow {
   const float* row;
   vec128f x[XV]{};  ///< NEON only; unused (and dropped) on x86
@@ -194,15 +213,16 @@ struct InputWindow {
 
   /// acc[j] += element I * f[j] for the VKV vectors of one tap.
   template <int I, int VKV>
-  NDIRECT_ALWAYS_INLINE void fma(vec128f (&acc)[VKV],
-                                 const vec128f (&f)[VKV]) const {
+  NDIRECT_ALWAYS_INLINE void fma(vec<L> (&acc)[VKV],
+                                 const vec<L> (&f)[VKV]) const {
     static_assert(I / 4 < XV);
     if constexpr (kLaneOperandFromMemory) {
-      const vec128f b = vdup(row[I]);
-      for (int j = 0; j < VKV; ++j) acc[j] = vfma(acc[j], b, f[j]);
+      const vec<L> b = vec<L>::dup(row[I]);
+      for (int j = 0; j < VKV; ++j) acc[j] = vec<L>::fma(acc[j], b, f[j]);
     } else {
+      static_assert(L == 4, "lane-operand FMAs are 128-bit (NEON)");
       for (int j = 0; j < VKV; ++j) {
-        acc[j] = vfma_lane<I % 4>(acc[j], x[I / 4], f[j]);
+        acc[j].v = vfma_lane<I % 4>(acc[j].v, x[I / 4], f[j].v);
       }
     }
   }
@@ -229,74 +249,74 @@ constexpr bool input_stationary_taps() {
          kWindowRegs + S * VKV + VW * VKV <= kNumVecRegs;
 }
 
-template <int VKV>
-NDIRECT_ALWAYS_INLINE void load_tap_filters(vec128f (&f)[VKV],
+template <int L, int VKV>
+NDIRECT_ALWAYS_INLINE void load_tap_filters(vec<L> (&f)[VKV],
                                             const float* frow, int s) {
-  for (int j = 0; j < VKV; ++j) f[j] = vload(frow + (s * VKV + j) * 4);
+  for (int j = 0; j < VKV; ++j) f[j] = vec<L>::load(frow + (s * VKV + j) * L);
 }
 
 // Filter-stationary: tap s's filter vectors against every column w.
-template <int VW, int VKV, int STR, int XV, int s, int... Ws>
+template <int L, int VW, int VKV, int STR, int XV, int s, int... Ws>
 NDIRECT_ALWAYS_INLINE void filter_stationary_tap(
-    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    vec<L> (&acc)[VW][VKV], const InputWindow<L, XV>& in, const float* frow,
     std::integer_sequence<int, Ws...>) {
-  vec128f f[VKV];
+  vec<L> f[VKV];
   load_tap_filters(f, frow, s);
   (in.template fma<Ws * STR + s>(acc[Ws], f), ...);
 }
 
-template <int VW, int VKV, int STR, int XV, int... Ss>
+template <int L, int VW, int VKV, int STR, int XV, int... Ss>
 NDIRECT_ALWAYS_INLINE void filter_stationary_row(
-    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    vec<L> (&acc)[VW][VKV], const InputWindow<L, XV>& in, const float* frow,
     std::integer_sequence<int, Ss...>) {
-  (filter_stationary_tap<VW, VKV, STR, XV, Ss>(
+  (filter_stationary_tap<L, VW, VKV, STR, XV, Ss>(
        acc, in, frow, std::make_integer_sequence<int, VW>{}),
    ...);
 }
 
 // Input-stationary: element I against tap s, if that tap exists, i.e.
 // I - s is a non-negative multiple of STR that names a column below VW.
-template <int VW, int VKV, int STR, int XV, int I, int s>
-NDIRECT_ALWAYS_INLINE void input_stationary_tap(vec128f (&acc)[VW][VKV],
-                                                const InputWindow<XV>& in,
-                                                const vec128f (&f)[VKV]) {
+template <int L, int VW, int VKV, int STR, int XV, int I, int s>
+NDIRECT_ALWAYS_INLINE void input_stationary_tap(vec<L> (&acc)[VW][VKV],
+                                                const InputWindow<L, XV>& in,
+                                                const vec<L> (&f)[VKV]) {
   if constexpr (I >= s && (I - s) % STR == 0 && (I - s) / STR < VW) {
     in.template fma<I>(acc[(I - s) / STR], f);
   }
 }
 
-template <int VW, int VKV, int S, int STR, int XV, int I, int... Ss>
+template <int L, int VW, int VKV, int S, int STR, int XV, int I, int... Ss>
 NDIRECT_ALWAYS_INLINE void input_stationary_element(
-    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in,
-    const vec128f (&f)[S][VKV], std::integer_sequence<int, Ss...>) {
-  (input_stationary_tap<VW, VKV, STR, XV, I, Ss>(acc, in, f[Ss]), ...);
+    vec<L> (&acc)[VW][VKV], const InputWindow<L, XV>& in,
+    const vec<L> (&f)[S][VKV], std::integer_sequence<int, Ss...>) {
+  (input_stationary_tap<L, VW, VKV, STR, XV, I, Ss>(acc, in, f[Ss]), ...);
 }
 
-template <int VW, int VKV, int S, int STR, int XV, int... Is>
+template <int L, int VW, int VKV, int S, int STR, int XV, int... Is>
 NDIRECT_ALWAYS_INLINE void input_stationary_row(
-    vec128f (&acc)[VW][VKV], const InputWindow<XV>& in, const float* frow,
+    vec<L> (&acc)[VW][VKV], const InputWindow<L, XV>& in, const float* frow,
     std::integer_sequence<int, Is...>) {
-  vec128f f[S][VKV];
+  vec<L> f[S][VKV];
   for (int s = 0; s < S; ++s) load_tap_filters(f[s], frow, s);
-  (input_stationary_element<VW, VKV, S, STR, XV, Is>(
+  (input_stationary_element<L, VW, VKV, S, STR, XV, Is>(
        acc, in, f, std::make_integer_sequence<int, S>{}),
    ...);
 }
 
 // Process one (c, r) row pair: every (w, s) tap of the packed input row
 // against the row's S x Vk filter vectors, in the policy's tap order.
-template <int VW, int VKV, int S, int STR>
-NDIRECT_ALWAYS_INLINE void cr_compute_unrolled(vec128f (&acc)[VW][VKV],
+template <int L, int VW, int VKV, int S, int STR>
+NDIRECT_ALWAYS_INLINE void cr_compute_unrolled(vec<L> (&acc)[VW][VKV],
                                                const float* brow,
                                                const float* frow) {
   constexpr int PACKW = (VW - 1) * STR + S;
   constexpr int XV = (PACKW + 3) / 4;
-  const InputWindow<XV> in(brow);
+  const InputWindow<L, XV> in(brow);
   if constexpr (input_stationary_taps<VW, VKV, S, STR>()) {
-    input_stationary_row<VW, VKV, S, STR, XV>(
+    input_stationary_row<L, VW, VKV, S, STR, XV>(
         acc, in, frow, std::make_integer_sequence<int, PACKW>{});
   } else {
-    filter_stationary_row<VW, VKV, STR, XV>(
+    filter_stationary_row<L, VW, VKV, STR, XV>(
         acc, in, frow, std::make_integer_sequence<int, S>{});
   }
 }
@@ -305,34 +325,34 @@ NDIRECT_ALWAYS_INLINE void cr_compute_unrolled(vec128f (&acc)[VW][VKV],
 // The generator: one template, every policy
 // ---------------------------------------------------------------------------
 
-template <int VW, int VKV, int S, int STR, TailMode TM>
+template <int L, int VW, int VKV, int S, int STR, TailMode TM>
 NDIRECT_FLATTEN void policy_compute_kernel(const MicroArgs& a) {
-  vec128f acc[VW][VKV];
+  vec<L> acc[VW][VKV];
   for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vzero();
+    for (int j = 0; j < VKV; ++j) acc[w][j] = vec<L>::zero();
   }
   for (int c = 0; c < a.tc; ++c) {
     const float* brows = a.pack + c * a.pack_c_stride;
     const float* fc = a.ftile + c * a.f_c_stride;
     for (int r = 0; r < a.R; ++r) {
-      cr_compute_unrolled<VW, VKV, S, STR>(
+      cr_compute_unrolled<L, VW, VKV, S, STR>(
           acc, brows + r * a.pack_r_stride,
-          fc + static_cast<std::int64_t>(r) * S * VKV * 4);
+          fc + static_cast<std::int64_t>(r) * S * VKV * L);
     }
   }
-  store_policy<VW, VKV, TM>(a, acc);
+  store_wide_tile<L, VW, VKV, TM == TailMode::kInterior>(a, acc);
 }
 
 // Fused packing + compute (Section 5.3): every gathered row is stored to
 // the pack buffer and consumed by FMAs in the same pass, so packing
 // stores retire behind the FMAs and later kv iterations find the whole
 // window L1-resident.
-template <int VW, int VKV, int S, int STR, TailMode TM>
+template <int L, int VW, int VKV, int S, int STR, TailMode TM>
 NDIRECT_FLATTEN void policy_fused_kernel(const MicroArgs& a,
                                          const PackGeometry& g) {
-  vec128f acc[VW][VKV];
+  vec<L> acc[VW][VKV];
   for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vzero();
+    for (int j = 0; j < VKV; ++j) acc[w][j] = vec<L>::zero();
   }
   for (int c = 0; c < a.tc; ++c) {
     float* brows = a.pack + c * a.pack_c_stride;
@@ -340,23 +360,27 @@ NDIRECT_FLATTEN void policy_fused_kernel(const MicroArgs& a,
     for (int r = 0; r < a.R; ++r) {
       float* brow = brows + r * a.pack_r_stride;
       pack_row(brow, g, c, g.ih0 + r, a.packw);
-      cr_compute_unrolled<VW, VKV, S, STR>(
-          acc, brow, fc + static_cast<std::int64_t>(r) * S * VKV * 4);
+      cr_compute_unrolled<L, VW, VKV, S, STR>(
+          acc, brow, fc + static_cast<std::int64_t>(r) * S * VKV * L);
     }
   }
-  store_policy<VW, VKV, TM>(a, acc);
+  store_wide_tile<L, VW, VKV, TM == TailMode::kInterior>(a, acc);
 }
 
 // ---------------------------------------------------------------------------
 // Constexpr registry builder
 // ---------------------------------------------------------------------------
 
-/// Eq. 3-feasible (vw, vk) blocks for kernel width S.
+/// Feasible (vw, vk) blocks for kernel width S at the build's width.
+constexpr bool kernel_block_built(int vw, int vk, int S) {
+  return kernel_block_feasible(vw, vk, S, kKernelLanes, kKernelRegs);
+}
+
 constexpr int policy_block_count(int S) {
   int n = 0;
   for (int vw = 4; vw <= kMaxVw; vw += 4) {
-    for (int vk = 4; vk <= kMaxVk; vk += 4) {
-      if (kernel_block_feasible(vw, vk, S)) ++n;
+    for (int vk = kKernelLanes; vk <= kMaxVk; vk += kKernelLanes) {
+      if (kernel_block_built(vw, vk, S)) ++n;
     }
   }
   return n;
@@ -366,15 +390,16 @@ constexpr int policy_block_count(int S) {
 // limitation, so each level of the (vw, vk, str) fold is a named helper.
 template <int S, int VW, int VK, TailMode TM, int STR, typename Table>
 constexpr void emit_policy(Table& table, std::size_t& i) {
+  constexpr int L = kKernelLanes;
   table[i++] =
       KernelEntry{VW, VK, S, STR, TM,
-                  &policy_compute_kernel<VW, VK / 4, S, STR, TM>,
-                  &policy_fused_kernel<VW, VK / 4, S, STR, TM>};
+                  &policy_compute_kernel<L, VW, VK / L, S, STR, TM>,
+                  &policy_fused_kernel<L, VW, VK / L, S, STR, TM>};
 }
 
 template <int S, int VW, int VK, typename Table>
 constexpr void emit_block(Table& table, std::size_t& i) {
-  if constexpr (kernel_block_feasible(VW, VK, S)) {
+  if constexpr (kernel_block_built(VW, VK, S)) {
     emit_policy<S, VW, VK, TailMode::kInterior, 1>(table, i);
     emit_policy<S, VW, VK, TailMode::kEdge, 1>(table, i);
     emit_policy<S, VW, VK, TailMode::kInterior, 2>(table, i);
@@ -385,8 +410,8 @@ constexpr void emit_block(Table& table, std::size_t& i) {
 template <int S, int VW, typename Table>
 constexpr void emit_block_row(Table& table, std::size_t& i) {
   [&]<int... Ks>(std::integer_sequence<int, Ks...>) {
-    (emit_block<S, VW, (Ks + 1) * 4>(table, i), ...);
-  }(std::make_integer_sequence<int, kMaxVk / 4>{});
+    (emit_block<S, VW, (Ks + 1) * kKernelLanes>(table, i), ...);
+  }(std::make_integer_sequence<int, kMaxVk / kKernelLanes>{});
 }
 
 /// Entries for one S: feasible blocks x strides {1, 2} x {interior, edge}.

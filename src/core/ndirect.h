@@ -33,8 +33,10 @@ namespace ndirect {
 /// Everything the planner derived for a shape; exposed for inspection,
 /// tests and the model-ablation bench.
 struct NdirectPlan {
-  RegisterBlock rb{};       ///< Eq. 3/4 register block (Vw, Vk)
-  TilingPlan tiling{};      ///< Eq. 1/2 cache tiles (Tc, Tk, Th)
+  RegisterBlock rb{};       ///< Eq. 3/4 register block (Vw, Vk) at the
+                            ///< kernels' lane count (solve_kernel_block)
+  TilingPlan tiling{};      ///< Eq. 1/2 cache tiles (Tc, Tk, Th), solved
+                            ///< for the paper's 4-lane block
   ThreadMapping mapping{};  ///< Eq. 5/6 thread grid (PTn, PTk)
   int stealers = 0;         ///< workers beyond the grid, seeded with no
                             ///< tiles (non-divisor thread counts under

@@ -74,6 +74,7 @@ ConvReport build_conv_report(const NdirectConv& conv,
     r.kernel_reason = kres.reason;
   }
   r.generic_fallback = telemetry.total(Counter::kGenericFallback);
+  r.kernel_lanes = kKernelLanes;
 
   r.tiles = telemetry.total(Counter::kTilesClaimed);
   r.local_steals = telemetry.total(Counter::kLocalSteals);
@@ -248,7 +249,8 @@ std::string ConvReport::to_text() const {
   s += "  kernel: " + kernel_class +
        (kernel_reason.empty() ? std::string()
                               : " (" + kernel_reason + ")") +
-       ", dtype " + conv_dtype_name(dtype) + ", generic fallback calls " +
+       ", " + std::to_string(kernel_lanes) + " fp32 lanes, dtype " +
+       conv_dtype_name(dtype) + ", generic fallback calls " +
        std::to_string(generic_fallback) + "\n";
   s += "  tiles " + std::to_string(tiles) + ", steals " +
        std::to_string(steals) + " (local " + std::to_string(local_steals) +
@@ -308,6 +310,7 @@ std::string ConvReport::to_json() const {
   s += ", \"kernel_class\": \"" + json_escape(kernel_class) + "\"";
   s += ", \"kernel_reason\": \"" + json_escape(kernel_reason) + "\"";
   s += ", \"generic_fallback\": " + std::to_string(generic_fallback);
+  s += ", \"kernel_lanes\": " + std::to_string(kernel_lanes);
   s += ", \"tiles\": " + std::to_string(tiles);
   s += ", \"steals\": " + std::to_string(steals);
   s += ", \"local_steals\": " + std::to_string(local_steals);

@@ -60,6 +60,9 @@ struct ConvReport {
   std::string kernel_class;
   std::string kernel_reason;
   std::uint64_t generic_fallback = 0;
+  /// fp32 lanes of the micro-kernels the engine ran (kKernelLanes): a
+  /// report from a 16-lane build is not comparable with a 4-lane one.
+  int kernel_lanes = 0;
 
   // Scheduler outcome.
   std::uint64_t tiles = 0;

@@ -71,7 +71,13 @@ int Graph::max_width() const {
 
 void Graph::set_conv_pool(ThreadPool* pool) {
   conv_pool_ = pool;
-  for (ConvOp* c : conv_ops()) c->set_pool(pool);
+  for (auto& node : nodes_) {
+    if (auto* c = dynamic_cast<ConvOp*>(node.op.get())) {
+      c->set_pool(pool);
+    } else if (auto* d = dynamic_cast<DepthwiseConvOp*>(node.op.get())) {
+      d->set_pool(pool);
+    }
+  }
 }
 
 void Graph::plan_concurrency(int workers) {

@@ -127,8 +127,8 @@ class Graph {
   /// the topology admits.
   int max_width() const;
 
-  /// Point every ConvOp at `pool` (nullptr = the global pool), so all
-  /// branches dispatch onto the same workers.
+  /// Point every ConvOp and DepthwiseConvOp at `pool` (nullptr = the
+  /// global pool), so all branches dispatch onto the same workers.
   void set_conv_pool(ThreadPool* pool);
 
   /// Seed-budget planning for concurrent branches: in every dependency

@@ -191,11 +191,18 @@ class DepthwiseConvOp final : public Op {
   Tensor& filter() { return filter_; }  ///< [C, 1, R, S]
   std::vector<float>& bias() { return bias_; }  ///< empty = no bias
 
+  /// Run on `pool` instead of the global pool (nullptr restores it);
+  /// Graph::set_conv_pool points every conv, depthwise included, at the
+  /// graph's shared pool.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  ThreadPool* pool() const { return pool_; }
+
  private:
   DepthwiseParams params_;
   Tensor filter_;  ///< [C, 1, R, S]
   std::vector<float> bias_;
   bool fused_relu_ = false;
+  ThreadPool* pool_ = nullptr;  ///< nullptr = global pool
 };
 
 class ReluOp final : public Op {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/fai.h"
+#include "core/microkernel.h"
 #include "gemm/blocking.h"
 
 namespace ndirect {
@@ -63,10 +64,15 @@ double direct_tile_fai(int vw, int vk, int S, int str,
 
 // Effective micro-kernel FAI per method. GEMM-family methods compact
 // the data before the kernel and pay no kernel-level stride penalty.
-double method_fai(ConvMethod m, const ConvParams& p) {
+// nDirect's block is the one its kernels run at the spec's lane count:
+// the engine's own block for this build's width, else the paper's
+// Eq. 3 solution.
+double method_fai(ConvMethod m, const ConvParams& p, int lanes) {
   switch (m) {
     case ConvMethod::Ndirect: {
-      const RegisterBlock rb = solve_register_block(p.S);
+      const RegisterBlock rb = lanes == kKernelLanes
+                                   ? solve_kernel_block(p.S)
+                                   : solve_register_block(p.S, lanes);
       return direct_tile_fai(rb.vw, rb.vk, p.S, p.str);
     }
     case ConvMethod::AnsorTuned:
@@ -195,7 +201,10 @@ PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
   const bool int8 = dtype != ConvDtype::kF32;
   const double fai_scale = int8 ? 4.0 : 1.0;
   const double traffic_scale = int8 ? 0.25 : 1.0;
-  const double peak_scale = dtype == ConvDtype::kI8Dot ? 4.0 : 1.0;
+  // The spec's peak is measured at its fp32 kernels' width; the int8
+  // kernels are 128-bit (4 fp32 lanes) at every width.
+  const double peak_scale = (dtype == ConvDtype::kI8Dot ? 4.0 : 1.0) *
+                            (int8 ? 4.0 / spec.fp32_lanes : 1.0);
 
   double kappa = platform_kappa(spec);
   // SMT oversubscription hides load latency: each extra hardware thread
@@ -207,12 +216,17 @@ PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
     kappa /= std::sqrt(ways);
   }
 
-  const double fai = method_fai(method, p) * fai_scale;
+  const double fai = method_fai(method, p, spec.fp32_lanes) * fai_scale;
   est.e_kernel = fai / (fai + kappa);
   est.u_parallel = method_utilization(method, p, threads);
 
+  // u_parallel is a fraction of `threads`, and threads beyond the cores
+  // share their FMA pipes, so the compute bound is the per-core peak
+  // times min(threads, cores), not the whole machine's peak.
   const double peak = spec.peak_gflops * peak_scale;
-  est.compute_bound = est.e_kernel * est.u_parallel * peak;
+  est.compute_bound = est.e_kernel * est.u_parallel *
+                      std::min(threads, spec.cores) * spec.peak_per_core() *
+                      peak_scale;
 
   const double bw_gbps = spec.bandwidth_gibs * 1.073741824;  // GiB -> GB
   const double bytes =

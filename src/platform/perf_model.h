@@ -4,10 +4,12 @@
 // machines this reproduction does not have. We reproduce their *shape*
 // with a roofline-style model evaluated on the Table 3 specs:
 //
-//   GFLOPS = min( e_kernel * u_parallel * PEAK ,  F / (bytes / BW) )
+//   GFLOPS = min( e_kernel * u_parallel * min(threads, cores) * PEAK_core,
+//                 F / (bytes / BW) )
 //
 //   * e_kernel: single-core efficiency of the method's micro-kernel,
-//     derived from its register-tile FAI (Eq. 4 and its GEMM analogue)
+//     derived from its register-tile FAI (Eq. 4 and its GEMM analogue;
+//     nDirect's block at the spec's fp32 lane count)
 //     through a saturating curve e = FAI / (FAI + kappa). kappa is the
 //     platform's "balance point" (flops a core can issue in the time one
 //     L1 float arrives); stride-2 halves the usable FAI exactly as

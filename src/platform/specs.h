@@ -27,6 +27,9 @@ struct PlatformSpec {
   double bandwidth_gibs = 1.0;  ///< max memory bandwidth
   CacheInfo cache;
   int smt_per_core = 1;  ///< hardware threads per core when SMT enabled
+  /// fp32 lanes of the direct-conv kernels the spec runs: 4 for the
+  /// paper's 128-bit NEON machines, kKernelLanes for the probed host.
+  int fp32_lanes = 4;
 
   double peak_per_core() const { return peak_gflops / cores; }
 };
@@ -42,7 +45,8 @@ const PlatformSpec& platform_by_name(const std::string& name);
 /// with a streaming read. Cached after the first call.
 const PlatformSpec& host_platform();
 
-/// Single-core FP32 peak measured by issuing independent vector FMAs.
+/// Single-core FP32 peak measured by issuing independent vector FMAs
+/// at the fp32 kernels' width (kKernelLanes, simd/vec.h).
 double measure_peak_gflops_single_core();
 
 /// Sequential-read bandwidth in GiB/s over a buffer of `bytes`.

@@ -6,9 +6,12 @@
 //   * on aarch64 it compiles to the NEON intrinsics the paper uses,
 //   * on x86-64 it maps to SSE (+FMA when available),
 //   * elsewhere it falls back to scalar code.
-// All nDirect/GEMM/baseline micro-kernels are written against this type,
-// so the instruction mix (loads, lane FMAs, stores) matches Algorithm 3
-// independent of the host ISA.
+// The GEMM, baseline, int8 and depthwise kernels are written against
+// this type, as are every kernel's tile stores, so the instruction mix
+// (loads, lane FMAs, stores) matches Algorithm 3 independent of the host
+// ISA. The fp32 direct-conv FMA loops run on vec<L> (simd/vec.h), whose
+// vec<4> is this type and whose 8- and 16-lane forms use the host's
+// full vector width.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +29,12 @@
 
 namespace ndirect {
 
-/// Number of FP32 lanes in one vector register (the paper's "4").
+/// Number of FP32 lanes in one 128-bit vector (the paper's "4"). The
+/// fp32 direct-conv kernels' own lane count is kKernelLanes (simd/vec.h).
 inline constexpr int kVecLanes = 4;
 
 /// Number of architectural 128-bit vector registers assumed by the
-/// register-budget constraint (Eq. 3). ARMv8 provides V0-V31.
+/// paper's register-budget constraint (Eq. 3). ARMv8 provides V0-V31.
 inline constexpr int kNumVecRegs = 32;
 
 /// Whether a broadcast FMA takes its scalar straight from memory. x86

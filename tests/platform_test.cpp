@@ -3,11 +3,14 @@
 // *qualitative* claims of the paper's evaluation, not absolute numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "platform/perf_model.h"
 #include "platform/specs.h"
 #include "platform/workloads.h"
+#include "simd/vec.h"
 
 namespace ndirect {
 namespace {
@@ -275,6 +278,52 @@ TEST(PerfModel, EstimatesNeverExceedPeakOrGoNegative) {
         EXPECT_GT(e.gflops, 0) << spec.name << " " << method_name(m);
         EXPECT_LE(e.gflops, spec.peak_gflops * 1.0001)
             << spec.name << " " << method_name(m) << " layer " << layer.id;
+      }
+    }
+  }
+}
+
+// Table 3's platforms plus one running this build's fp32 kernel width,
+// so the model is also checked with the wide block's FAI.
+std::vector<PlatformSpec> model_specs() {
+  std::vector<PlatformSpec> specs = table3_platforms();
+  PlatformSpec wide = platform_by_name("RPi 4");
+  wide.name = "RPi 4 at kKernelLanes";
+  wide.fp32_lanes = kKernelLanes;
+  specs.push_back(wide);
+  return specs;
+}
+
+TEST(PerfModel, EstimateNeverExceedsThreadsTimesCorePeak) {
+  // The compute bound is the per-core peak times min(threads, cores):
+  // t threads never get more than t cores' worth of FMA pipes.
+  for (const PlatformSpec& spec : model_specs()) {
+    for (const ConvLayer& layer : table4_layers(spec.cores)) {
+      for (int t : {1, 2, 3, spec.cores / 2, spec.cores, 2 * spec.cores}) {
+        const double cap = std::min(t, spec.cores) * spec.peak_per_core();
+        for (ConvMethod m : all_methods()) {
+          const PerfEstimate e = estimate_conv_perf(spec, layer.params, m, t);
+          EXPECT_LE(e.gflops, cap * 1.0001)
+              << spec.name << " " << method_name(m) << " layer " << layer.id
+              << " threads " << t;
+          EXPECT_LE(e.compute_bound, cap * 1.0001);
+        }
+      }
+    }
+  }
+}
+
+TEST(PerfModel, NdirectEstimateDoesNotFallAsThreadsRiseToCores) {
+  for (const PlatformSpec& spec : model_specs()) {
+    for (const ConvLayer& layer : table4_layers(spec.cores)) {
+      double prev = 0;
+      for (int t = 1; t <= spec.cores; ++t) {
+        const double g =
+            estimate_conv_perf(spec, layer.params, ConvMethod::Ndirect, t)
+                .gflops;
+        EXPECT_GE(g, prev * (1 - 1e-9))
+            << spec.name << " layer " << layer.id << " threads " << t;
+        prev = g;
       }
     }
   }
