@@ -21,9 +21,15 @@ bool schedule_valid(const Schedule& s, const ConvParams& p, int threads) {
 ScheduleSpace::ScheduleSpace(const ConvParams& p, int threads,
                              std::uint64_t seed)
     : params_(p), threads_(threads < 1 ? 1 : threads), rng_(seed) {
-  // The (vw, vk) gene enumerates the registry's instantiated blocks
-  // (every Eq. 3-feasible pair), in the registry's deterministic order.
-  block_choices_ = microkernel_blocks();
+  // The (vw, vk) gene enumerates every 4-lane Eq. 3-feasible pair (the
+  // S = 1 set, a superset of every larger S's), vw then vk. The tuned
+  // schedules run on the 128-bit generic kernel (schedule_to_options),
+  // which serves exactly these blocks whatever the build's kernel width.
+  block_choices_ = feasible_register_blocks(1);
+  std::sort(block_choices_.begin(), block_choices_.end(),
+            [](const RegisterBlock& a, const RegisterBlock& b) {
+              return a.vw != b.vw ? a.vw < b.vw : a.vk < b.vk;
+            });
 
   // Power-of-two-ish ladders clipped to the problem bounds.
   for (int t : {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}) {

@@ -57,6 +57,12 @@ class ThreadPool {
   /// Busy-wait budget in effect (pause iterations before parking).
   long spin_iters() const { return spin_iters_; }
 
+  /// Jobs handed to the workers so far: run() calls that did not execute
+  /// inline on their caller. Tells a caller which pool ran its work.
+  std::uint64_t dispatched_jobs() const {
+    return generation_.load(std::memory_order_relaxed);
+  }
+
   /// Run fn(tid) for every tid in [0, num_tasks). Blocks until all done.
   /// The caller participates (it claims tasks like a worker). fn must not
   /// throw. Thread-safe AND re-entrant: concurrent run() calls from

@@ -10,6 +10,7 @@
 #include "baselines/naive_conv.h"
 #include "conv_shapes.h"
 #include "core/depthwise.h"
+#include "core/microkernel.h"
 #include "core/ndirect.h"
 #include "nn/models.h"
 #include "nn/optimize.h"
@@ -116,8 +117,8 @@ TEST(Epilogue, AppliedOnlyAfterFinalCTile) {
   fill_random(in, 87);
   fill_random(f, 88);
   NdirectOptions opts;
-  opts.force_rb = {8, 4};
-  opts.force_tiling = {3, 4, 2};  // 8 C tiles
+  opts.force_rb = {8, kKernelLanes};  // a registry block at every width
+  opts.force_tiling = {3, kKernelLanes, 2};  // 8 C tiles
   const NdirectConv conv(p, opts);
   const Tensor out = conv.run(in, f, {nullptr, true});
   const Tensor ref = reference_with_epilogue(in, f, p, {}, true);
@@ -258,10 +259,13 @@ struct ResidualCase {
 };
 
 std::vector<ResidualCase> residual_cases() {
-  NdirectOptions ragged;  // Q = 13 and K = 12 against an 8x8 block
-  ragged.force_rb = {8, 8};
+  // Q = 13 and K = 12 against an 8 x max(8, lanes) block: a registry
+  // block at every width (8x8 at 4 lanes, 8x16 at 16), ragged in both.
+  constexpr int kVk = std::max(8, kKernelLanes);
+  NdirectOptions ragged;
+  ragged.force_rb = {8, kVk};
   NdirectOptions c_tiles = ragged;  // 4 C tiles: the accumulate path
-  c_tiles.force_tiling = {3, 8, 2};
+  c_tiles.force_tiling = {3, kVk, 2};
   return {
       {"interior", {.N = 2, .C = 6, .H = 16, .W = 16, .K = 16, .R = 3,
                     .S = 3, .str = 1, .pad = 1}, ragged},
@@ -280,7 +284,12 @@ TEST(ResidualEpilogue, FusedEqualsConvAddReluBitwiseNchwAndNhwc) {
   std::uint64_t seed = 200;
   for (const ResidualCase& c : residual_cases()) {
     const ConvParams& p = c.p;
-    const NdirectConv conv(p, c.opts);
+    // The forced blocks are registry blocks at every width, so no tile of
+    // a fused run falls back to the generic kernel.
+    TelemetrySnapshot snap;  // the last run's counters
+    NdirectOptions opts = c.opts;
+    opts.telemetry = &snap;
+    const NdirectConv conv(p, opts);
     const Tensor in = random_tensor({p.N, p.C, p.H, p.W}, Layout::NCHW, ++seed);
     const Tensor f = random_tensor({p.K, p.C, p.R, p.S}, Layout::KCRS, ++seed);
     const Tensor res =
@@ -296,6 +305,8 @@ TEST(ResidualEpilogue, FusedEqualsConvAddReluBitwiseNchwAndNhwc) {
       const Tensor want = add_then_relu(conv.run(in, f, {b, false}), res);
       EXPECT_TRUE(same_bits(conv.run(in, f, {b, true, res.data()}), want))
           << what << " nchw";
+      EXPECT_EQ(snap.total(Counter::kGenericFallback), 0u)
+          << what << " nchw";
       EXPECT_TRUE(
           same_bits(conv.run(in, packed, {b, true, res.data()}), want))
           << what << " nchw packed";
@@ -305,6 +316,8 @@ TEST(ResidualEpilogue, FusedEqualsConvAddReluBitwiseNchwAndNhwc) {
           add_then_relu(conv.run_nhwc(in_nhwc, f, {b, false}), res_nhwc);
       EXPECT_TRUE(same_bits(
           conv.run_nhwc(in_nhwc, f, {b, true, res_nhwc.data()}), want_nhwc))
+          << what << " nhwc";
+      EXPECT_EQ(snap.total(Counter::kGenericFallback), 0u)
           << what << " nhwc";
       // Residual without ReLU: conv + AddOp alone.
       const Tensor conv_out = conv.run(in, f, {b, false});

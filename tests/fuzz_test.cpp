@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "baselines/naive_conv.h"
+#include "core/microkernel.h"
 #include "core/ndirect.h"
 #include "nn/graph.h"
 #include "nn/optimize.h"
@@ -67,8 +68,14 @@ TEST_P(RandomShapeFuzz, AllModesMatchNaive) {
   seq.aot_filter = true;
   EXPECT_TRUE(allclose(ndirect_conv(in, f, p, seq), ref));
 
-  // Random valid forced register block.
-  const auto blocks = feasible_register_blocks(p.S);
+  // Random forced register block among the registry's blocks at the
+  // build's width that fit the budget at this S.
+  std::vector<RegisterBlock> blocks;
+  for (const RegisterBlock& b : microkernel_blocks()) {
+    if (kernel_block_feasible(b.vw, b.vk, p.S, kKernelLanes, kKernelRegs))
+      blocks.push_back(b);
+  }
+  ASSERT_FALSE(blocks.empty());
   NdirectOptions forced;
   forced.force_rb =
       blocks[std::uniform_int_distribution<std::size_t>(
