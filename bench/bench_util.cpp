@@ -222,9 +222,12 @@ std::string host_metadata_json() {
   s += ", \"cpu\": " + json_quote(info.name);
   s += ", \"cores\": " + std::to_string(info.logical_cores);
   // Dot-product capability stamp: per-host baselines must distinguish
-  // machines whose int8 rows ran UDOT/SDOT from emulation-only hosts.
+  // machines whose int8 rows ran UDOT/SDOT or VPDPBUSD from
+  // emulation-only hosts.
   s += ", \"asimddp\": ";
   s += info.asimddp ? "true" : "false";
+  s += ", \"avx512vnni\": ";
+  s += info.avx512vnni ? "true" : "false";
   s += ", \"i8mm\": ";
   s += info.i8mm ? "true" : "false";
   s += ", \"fp32_lanes\": " + std::to_string(kKernelLanes);

@@ -15,10 +15,13 @@ first as compile time. This script fails CI when
      outlined helper (GCC's local constprop clone of a tap-loop lambda,
      say) keeps the accumulator tile in memory and spills every FMA, so
      a kernel must compile to one flat body, or
-  3. the built registry does not hold exactly the kernel entries and
+  3. the built registries do not hold exactly the kernel entries and
      runtime (vw, vk) blocks the register budget admits at the built
      lane count — i.e. a refactor silently dropped specializations and
-     convs would fall back to the generic kernel.
+     convs would fall back to the generic kernel. The int8 registry is
+     gated the same way, per compiled backend: the 4-lane emulated grid
+     always, plus the native dot grid (4 lanes for SDOT, 16 for VNNI)
+     where the probe reports it compiled.
 
 The registry is probed by compiling and running a short program against
 the built libndirect_core.a, so it measures the product, not the source.
@@ -28,15 +31,20 @@ computed here from the same budget kernel_block_feasible applies
 (core/microkernel.h): at 4 lanes the paper's Eq. 3, ceil((vw+S-1)/4) +
 vk/4 + vw*vk/4 <= regs; at 16 lanes (x86, AVX-512F) the tile, the S
 filter sets and one broadcast register, (vw+S)*vk/lanes + 1 <= regs.
-At 4 lanes that is 216 entries and 14 blocks, at 16 lanes 96 and 6. --min-entries / --min-blocks override the derived
-counts (as lower bounds).
+At 4 lanes that is 216 entries and 14 blocks, at 16 lanes 96 and 6.
+Int8 entries are 2 strides per admitted block and S: 108 for the
+emulated grid, plus 108 for SDOT or 48 for the 16-lane VNNI grid.
+--min-entries / --min-blocks override the derived fp32 counts (as lower
+bounds).
 
 For information, each object's vector stack spills are counted: stores
 of an xmm, ymm or zmm register to an %rsp/%rbp slot between a kernel's
-first and last FMA — the FMA loop, where a spill costs once per (c, r)
-row. (The tile store after the loop parks the accumulators on the stack
-once per tile, which does not count.) In the fused kernels these are
-the accumulators saved around pack_row's memcpy/memset calls.
+first and last multiply-accumulate (an FMA, or in the int8 kernels a
+VPDPBUSD, SDOT or the emulated ladder's PMADDWD) — the inner loop,
+where a spill costs once per (c, r) row. (The tile store after the
+loop parks the accumulators on the stack once per tile, which does not
+count.) In the fused kernels these are the accumulators saved around
+pack_row's memcpy/memset calls.
 
 Usage:
   check_kernel_budget.py [--source .] [--build build]
@@ -57,12 +65,15 @@ import time
 PROBE = """
 #include <cstdio>
 #include "core/microkernel.h"
+#include "core/quantized_microkernel.h"
 int main() {
   std::printf("entries=%zu blocks=%zu lanes=%d regs=%d max_vw=%d "
-              "max_vk=%d\\n",
+              "max_vk=%d i8_entries=%zu i8_dot=%d i8_dot_lanes=%d\\n",
               ndirect::kernel_registry().size(),
               ndirect::microkernel_blocks().size(), ndirect::kKernelLanes,
-              ndirect::kKernelRegs, ndirect::kMaxVw, ndirect::kMaxVk);
+              ndirect::kKernelRegs, ndirect::kMaxVw, ndirect::kMaxVk,
+              ndirect::int8_kernel_registry().size(),
+              NDIRECT_INT8_DOT_COMPILED, ndirect::kI8DotLanes);
   return 0;
 }
 """
@@ -71,6 +82,8 @@ int main() {
 # and the (stride, tail-mode) variants of each block.
 UNROLLED_S = (1, 3, 5, 7)
 VARIANTS_PER_BLOCK = 4
+# The int8 kernels have no tail variants: (stride) per block.
+INT8_STRIDES = 2
 
 
 def block_feasible(vw, vk, S, lanes, regs, max_vw, max_vk):
@@ -93,6 +106,19 @@ def expected_registry(lanes, regs, max_vw, max_vk):
     entries = VARIANTS_PER_BLOCK * sum(blocks(S) for S in UNROLLED_S)
     return entries, blocks(1)
 
+
+def expected_int8_entries(dot, dot_lanes, max_vw, max_vk):
+    """Int8 registry entries: per compiled backend, the blocks its
+    budget admits (int8_block_feasible: kernel_block_feasible at the
+    backend's lanes and 32 registers) x S x strides {1, 2}."""
+    def entries(lanes):
+        return INT8_STRIDES * sum(
+            block_feasible(vw, vk, S, lanes, 32, max_vw, max_vk)
+            for S in UNROLLED_S
+            for vw in range(4, max_vw + 1, 4)
+            for vk in range(lanes, max_vk + 1, lanes))
+    return entries(4) + (entries(dot_lanes) if dot else 0)
+
 # Callees a policy kernel may reach: the fused kernels' pack_row copies
 # and zero-fills input rows.
 ALLOWED_CALLEES = {"memcpy", "memset"}
@@ -103,25 +129,37 @@ BRANCH_RE = re.compile(r"\s(call|callq|jmp|jmpq|bl|blr|b)\s+(.*)$")
 # for a local function in the same object.
 RELOC_RE = re.compile(r"R_(?:X86_64_PLT32|X86_64_PC32|AARCH64_CALL26|"
                       r"AARCH64_JUMP26)\s+(\S+?)(?:-0x[0-9a-f]+)?$")
-# A vector register stored to a stack slot (AT&T syntax), and an FMA.
+# A vector register stored to a stack slot (AT&T syntax), and a
+# multiply-accumulate that marks a kernel's inner loop: an fp32 FMA, or
+# an int8 dot (VPDPBUSD, SDOT, or the emulated ladder's PMADDWD).
 SPILL_RE = re.compile(r"\sv?mov(?:[au]p[sd]|dq[au](?:32|64)?)\s+"
                       r"%([xyz])mm\d+,\s*-?(?:0x[0-9a-f]+)?\(%r[sb]p\)")
-FMA_RE = re.compile(r"\s(?:vfn?m(?:add|sub)\d{3}ps|fmla)\s")
+MAC_RE = re.compile(r"\s(?:vfn?m(?:add|sub)\d{3}ps|fmla|vpdpbusd|sdot|"
+                    r"v?pmaddwd)\s")
 
 
 def kernel_family(func):
-    """'compute' or 'fused', and 'interior' or 'edge', of a kernel."""
+    """'compute' or 'fused', and 'interior' or 'edge', of an fp32
+    kernel; 'int8/<backend>' of an int8 one."""
+    if "i8_policy_kernel<" in func:
+        backend = {"(ndirect::Int8Backend)1": "emulated",
+                   "(ndirect::Int8Backend)2": "dot"}
+        for key, name in backend.items():
+            if key in func:
+                return f"int8/{name}"
+        return "int8"
     family = "fused" if "fused_kernel<" in func else "compute"
     tail = "edge" if "TailMode)1" in func or "kEdge" in func else "interior"
     return f"{family}/{tail}"
 
 
-def count_fma_span_spills(body, spills, func):
-    """Spill stores between the first and last FMA of one kernel body."""
-    fmas = [i for i, line in enumerate(body) if FMA_RE.search(line)]
-    if not fmas:
+def count_mac_span_spills(body, spills, func):
+    """Spill stores between the first and last multiply-accumulate of
+    one kernel body."""
+    macs = [i for i, line in enumerate(body) if MAC_RE.search(line)]
+    if not macs:
         return
-    for line in body[fmas[0]:fmas[-1]]:
+    for line in body[macs[0]:macs[-1]]:
         m = SPILL_RE.search(line)
         if m:
             per_kernel = spills.setdefault(kernel_family(func), {})
@@ -132,7 +170,7 @@ def count_fma_span_spills(body, spills, func):
 
 def codegen_problems(obj, objdump, spills):
     """Local functions in `obj`, and calls out of its policy kernels.
-    Adds each kernel's FMA-loop vector spill stores to `spills`
+    Adds each kernel's inner-loop vector spill stores to `spills`
     ({family: {kernel: count}}) and their register classes to
     spills["regs"]."""
     problems = []
@@ -181,7 +219,7 @@ def codegen_problems(obj, objdump, spills):
     if pending is not None:
         callees.setdefault(func, set()).add(pending)
     for func, body in bodies.items():
-        count_fma_span_spills(body, spills, func)
+        count_mac_span_spills(body, spills, func)
     for func, names in sorted(callees.items()):
         bad = sorted(n for n in names if n not in ALLOWED_CALLEES)
         if bad:
@@ -247,7 +285,7 @@ def main():
                     f"(max {max(k.values())})"
                     for fam, k in sorted(spills.items()))
                 cls = "/".join(f"{c}mm {n}" for c, n in sorted(regs.items()))
-                print(f"  {'':34s} FMA-loop spill stores: {fams}; {cls}")
+                print(f"  {'':34s} inner-loop spill stores: {fams}; {cls}")
             failures += [f"{os.path.basename(tu)}: {p}" for p in problems]
 
         # 3. Registry completeness, probed from the built core library.
@@ -293,6 +331,17 @@ def main():
                     elif got != want:
                         failures.append(f"registry has {got} {name}, the "
                                         f"register budget admits {want}")
+                want_i8 = expected_int8_entries(
+                    vals["i8_dot"], vals["i8_dot_lanes"], vals["max_vw"],
+                    vals["max_vk"])
+                dot = (f"dot at {vals['i8_dot_lanes']} lanes"
+                       if vals["i8_dot"] else "no dot kernels")
+                print(f"  int8 budget (emulated at 4 lanes, {dot}): "
+                      f"{want_i8} entries")
+                if vals["i8_entries"] != want_i8:
+                    failures.append(f"int8 registry has {vals['i8_entries']} "
+                                    f"entries, the register budget admits "
+                                    f"{want_i8}")
 
     if failures:
         print("check_kernel_budget: FAIL")

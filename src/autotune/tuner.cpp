@@ -175,10 +175,14 @@ Int8TuneResult autotune_int8_block(const ConvParams& p,
   const Int8Epilogue ep;
   const double flops = static_cast<double>(p.flops());
 
+  // The blocks of the backend the engine will run (the 16-lane dot
+  // grid on a VNNI host, the 4-lane Eq. 3 grid otherwise).
+  const Int8Backend backend = int8_preferred_backend();
   WallTimer total;
-  for (const RegisterBlock& rb : int8_microkernel_blocks()) {
-    if (!kernel_block_feasible(rb.vw, rb.vk, p.S)) continue;
+  for (const RegisterBlock& rb : int8_microkernel_blocks(backend)) {
+    if (!int8_block_feasible(rb.vw, rb.vk, p.S, backend)) continue;
     Int8ConvOptions opt;
+    opt.backend = backend;
     opt.force_block = rb;
     opt.pool = pool;
     const Int8Conv conv(p, opt);
@@ -202,8 +206,8 @@ Int8TuneResult autotune_int8_block(const ConvParams& p,
     }
   }
   // Budget exhausted before anything was measured: fall back to the
-  // analytical Eq. 3 solution.
-  if (result.best.vw == 0) result.best = solve_register_block(p.S);
+  // engine's analytical block.
+  if (result.best.vw == 0) result.best = int8_planned_block(p.S, backend);
   return result;
 }
 

@@ -75,9 +75,10 @@ struct Int8TuneResult {
 };
 
 /// Exhaustively measure every (Vw, Vk) register block the int8 policy
-/// registry instantiates for `p`'s kernel width (the 4-lane Eq. 3 grid;
-/// the int8 kernels are 128-bit — small enough to sweep instead of evolve)
-/// and return the fastest. `budget_seconds` bounds total measurement
+/// registry instantiates for `p`'s kernel width on the preferred
+/// backend (the 16-lane grid on a VNNI host, the 4-lane Eq. 3 grid
+/// otherwise — small enough to sweep instead of evolve) and return the
+/// fastest. `budget_seconds` bounds total measurement
 /// wall time; blocks past the budget keep the analytical order.
 Int8TuneResult autotune_int8_block(const ConvParams& p,
                                    double budget_seconds = 1.0,

@@ -26,12 +26,63 @@ std::int32_t choose_qmax_int8(std::int64_t reduction_len) {
   return q;
 }
 
+namespace {
+
+/// a + b modulo 2^32. The int8 compensation is added this way: the
+/// compensated sums are exact whenever the true result fits int32,
+/// even where the raw accumulator or the compensation term alone does
+/// not (DESIGN.md §14).
+inline std::int32_t wrap_add(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                   static_cast<std::uint32_t>(b));
+}
+
+/// One element of the activation quantizer: lrintf (the current, i.e.
+/// round-to-nearest-even, mode), truncated to int32, plus the zero
+/// point, clamped to u8. The vector passes below defer to it wherever
+/// a lane is not a plain in-range number.
+inline std::uint8_t quantize_u8(float x, float inv, std::int32_t zp) {
+  const std::int32_t v =
+      wrap_add(static_cast<std::int32_t>(std::lrintf(x * inv)), zp);
+  return static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
+}
+
+}  // namespace
+
 QuantizedActivation quantize_activation_u8(const float* data,
-                                           std::size_t n) {
+                                           std::size_t n,
+                                           std::uint8_t* values) {
+  // Range pass. lo = min(lo, x) and hi = max(hi, x) keep the running
+  // value when x is NaN; MINPS/MAXPS with x first do the same, and
+  // neither ever trades +0 for -0, so the lanes reduce to the scalar
+  // loop's bits.
   float lo = 0.0f, hi = 0.0f;  // range includes 0 (exact padding)
-  for (std::size_t i = 0; i < n; ++i) {
-    lo = std::min(lo, data[i]);
-    hi = std::max(hi, data[i]);
+  std::size_t i = 0;
+#if defined(NDIRECT_SIMD_SSE)
+  {
+    __m128 vlo[4], vhi[4];
+    for (int q = 0; q < 4; ++q) vlo[q] = vhi[q] = _mm_setzero_ps();
+    for (; i + 16 <= n; i += 16) {
+      for (int q = 0; q < 4; ++q) {
+        const __m128 x = _mm_loadu_ps(data + i + 4 * q);
+        vlo[q] = _mm_min_ps(x, vlo[q]);
+        vhi[q] = _mm_max_ps(x, vhi[q]);
+      }
+    }
+    float l[16], h[16];
+    for (int q = 0; q < 4; ++q) {
+      _mm_storeu_ps(l + 4 * q, vlo[q]);
+      _mm_storeu_ps(h + 4 * q, vhi[q]);
+    }
+    for (int t = 0; t < 16; ++t) {
+      lo = std::min(lo, l[t]);
+      hi = std::max(hi, h[t]);
+    }
+  }
+#endif
+  for (std::size_t t = i; t < n; ++t) {
+    lo = std::min(lo, data[t]);
+    hi = std::max(hi, data[t]);
   }
   QuantizedActivation q;
   const float range = hi - lo;
@@ -39,14 +90,49 @@ QuantizedActivation quantize_activation_u8(const float* data,
   const float inv = 1.0f / q.scale;
   q.zero_point = std::clamp<std::int32_t>(
       static_cast<std::int32_t>(std::lrintf(-lo * inv)), 0, 255);
-  q.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t v =
-        static_cast<std::int32_t>(std::lrintf(data[i] * inv)) +
-        q.zero_point;
-    q.values[i] =
-        static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
+  const std::int32_t zp = q.zero_point;
+
+  // Round-convert-clamp pass: CVTPS2DQ rounds like lrintf wherever
+  // |x * inv| < 2^30, and PACKSSDW + PACKUSWB clamp to [0, 255]. A
+  // block holding a NaN, an infinity or a huge product (CVTPS2DQ's
+  // INT_MIN is not what lrintf leaves) runs quantize_u8 instead.
+  i = 0;
+#if defined(NDIRECT_SIMD_SSE)
+  const __m128 vinv = _mm_set1_ps(inv);
+  const __m128 limit = _mm_set1_ps(1073741824.0f);  // 2^30
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+  const __m128i vzp = _mm_set1_epi32(zp);
+  for (; i + 16 <= n; i += 16) {
+    __m128 y[4];
+    __m128 ok = _mm_castsi128_ps(_mm_set1_epi32(-1));
+    for (int b = 0; b < 4; ++b) {
+      y[b] = _mm_mul_ps(_mm_loadu_ps(data + i + 4 * b), vinv);
+      ok = _mm_and_ps(ok, _mm_cmplt_ps(_mm_and_ps(y[b], abs_mask), limit));
+    }
+    if (_mm_movemask_ps(ok) != 0xF) {
+      for (std::size_t t = i; t < i + 16; ++t) {
+        values[t] = quantize_u8(data[t], inv, zp);
+      }
+      continue;
+    }
+    __m128i r[4];
+    for (int b = 0; b < 4; ++b) {
+      r[b] = _mm_add_epi32(_mm_cvtps_epi32(y[b]), vzp);
+    }
+    const __m128i packed = _mm_packus_epi16(_mm_packs_epi32(r[0], r[1]),
+                                            _mm_packs_epi32(r[2], r[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(values + i), packed);
   }
+#endif
+  for (; i < n; ++i) values[i] = quantize_u8(data[i], inv, zp);
+  return q;
+}
+
+QuantizedActivation quantize_activation_u8(const float* data,
+                                           std::size_t n) {
+  std::vector<std::uint8_t> values(n);
+  QuantizedActivation q = quantize_activation_u8(data, n, values.data());
+  q.values = std::move(values);
   return q;
 }
 
@@ -94,14 +180,16 @@ I8ExecShape i8_exec_shape(const ConvParams& p) {
   return {p.H, p.W, p.P(), p.Q()};
 }
 
-/// Pack one input window: [c4][R][rowbytes] with every byte XORed with
-/// 0x80 (u - 128 as s8). Spatial padding and the c >= C channel lanes
-/// fill with `border` = zp ^ 0x80, so border taps cancel exactly under
-/// the zero-point compensation and padded channel lanes meet zero
-/// filter taps.
+/// Pack one input window: [c4][R][rowbytes], every byte XORed with
+/// `mask` — 0x80 (u - 128 as s8) for the s8 x s8 kernels, 0 (raw u8) for
+/// VNNI. Spatial padding and the c >= C channel lanes fill with
+/// `border` = zp ^ mask, so border taps cancel exactly under the
+/// zero-point compensation and padded channel lanes meet zero filter
+/// taps.
 void i8_pack_window(std::int8_t* dst, const std::uint8_t* image, int C,
                     int H, int W, int c4, int R, int ih0, int iw0,
-                    int packw, int rowbytes, std::int8_t border) {
+                    int packw, int rowbytes, std::uint8_t mask,
+                    std::int8_t border) {
   for (int g = 0; g < c4; ++g) {
     for (int r = 0; r < R; ++r) {
       std::int8_t* drow =
@@ -118,7 +206,7 @@ void i8_pack_window(std::int8_t* dst, const std::uint8_t* image, int C,
             image + (static_cast<std::int64_t>(c) * H + ih) * W + iw0;
         std::int8_t* d = drow + j;
         for (int t = t0; t < t1; ++t) {
-          d[4 * t] = static_cast<std::int8_t>(row[t] ^ 0x80u);
+          d[4 * t] = static_cast<std::int8_t>(row[t] ^ mask);
         }
       }
     }
@@ -126,17 +214,21 @@ void i8_pack_window(std::int8_t* dst, const std::uint8_t* image, int C,
 }
 
 /// Finish one vw x kn accumulator tile: add the zero-point compensation
-/// and store through the epilogue mode. Shared by every backend, so
-/// outputs are bitwise identical whenever the accumulators are.
+/// comp_zp * rowsum[k] (comp_zp = o - zp for the packing offset o) and
+/// store through the epilogue mode. Shared by every backend, so outputs
+/// are bitwise identical whenever the compensated accumulators are.
 void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
-                   const std::int32_t* acc, const std::int32_t* comp,
-                   int vw, int wn, int kn, std::int64_t kv,
-                   std::int64_t k_stride, std::int64_t base) {
+                   const std::int32_t* acc, const std::int32_t* rowsum,
+                   std::int32_t comp_zp, int vw, int wn, int kn,
+                   std::int64_t kv, std::int64_t k_stride,
+                   std::int64_t base) {
   for (int k = 0; k < kn; ++k) {
     const std::int64_t kk = kv + k;
     const std::int32_t* arow = acc + static_cast<std::int64_t>(k) * vw;
     const std::int64_t off = base + kk * k_stride;
-    const std::int32_t cadd = comp[kk];
+    const auto cadd = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(comp_zp) *
+        static_cast<std::uint32_t>(rowsum[kk]));
     if (out.f32 != nullptr) {
       float* orow = out.f32 + off;
       const float* rrow =
@@ -165,7 +257,7 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
       const std::int32_t badd =
           ep.bias_i32 != nullptr ? ep.bias_i32[kk] : 0;
       for (int w = 0; w < wn; ++w) {
-        const std::int32_t a = arow[w] + cadd + badd;
+        const std::int32_t a = wrap_add(wrap_add(arow[w], cadd), badd);
         // Round-to-nearest-even (nearbyintf under the default
         // FE_TONEAREST mode), then saturate to the symmetric [-127,
         // 127] range around the output zero point.
@@ -183,7 +275,7 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
       for (; w + 4 <= wn; w += 4) {
         vstore_i32(orow + w, vadd_i32(vload_i32(arow + w), cc));
       }
-      for (; w < wn; ++w) orow[w] = arow[w] + cadd;
+      for (; w < wn; ++w) orow[w] = wrap_add(arow[w], cadd);
     }
   }
 }
@@ -198,7 +290,7 @@ Int8Conv::Int8Conv(const ConvParams& p, const Int8ConvOptions& opt)
   }
   rb_ = (opt_.force_block.vw > 0 && opt_.force_block.vk > 0)
             ? opt_.force_block
-            : solve_register_block(p_.S);
+            : int8_planned_block(p_.S, opt_.backend);
   kres_ = resolve_int8_kernel(rb_.vw, rb_.vk, p_.S, p_.str, opt_.backend);
 }
 
@@ -270,17 +362,14 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
                                 p_.to_string() + " at this block");
   }
   const std::int64_t k_stride = std::int64_t{ex.P} * ex.Q;
-  const auto border =
-      static_cast<std::int8_t>(static_cast<unsigned>(in_zero_point) ^
-                               0x80u);
-
-  // comp[k] = (128 - zp) * sum(w_k): rowsum is recorded at pack time, the
-  // zero point arrives per run.
-  std::vector<std::int32_t> comp(static_cast<std::size_t>(p_.K));
-  for (int k = 0; k < p_.K; ++k) {
-    comp[static_cast<std::size_t>(k)] =
-        (128 - in_zero_point) * filter.rowsum[static_cast<std::size_t>(k)];
-  }
+  // The kernel's packing: raw u8 for VNNI, XOR 0x80 (u - 128) otherwise;
+  // the compensation is (o - zp) * sum(w_k) for the offset o, with
+  // rowsum recorded at pack time and the zero point arriving per run.
+  const bool raw_u8 = int8_backend_raw_u8(kres_.backend);
+  const std::uint8_t mask = raw_u8 ? 0x00 : 0x80;
+  const auto border = static_cast<std::int8_t>(
+      static_cast<std::uint8_t>(in_zero_point) ^ mask);
+  const std::int32_t comp_zp = (raw_u8 ? 0 : 128) - in_zero_point;
 
   // One tile per Vw-wide output window: the body packs the window once
   // and runs every K block over it, so a tile carries its whole
@@ -316,7 +405,7 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
         w.timed_pack([&] {
           i8_pack_window(pack, image, p_.C, ex.H, ex.W, c4, p_.R,
                          oh * p_.str - p_.pad, wv * p_.str - p_.pad, packw,
-                         rowbytes, border);
+                         rowbytes, mask, border);
         });
         if (fn == nullptr) w.count_generic();
         w.timed(Counter::kMicrokernelNs, [&] {
@@ -341,8 +430,8 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
             } else {
               int8_kernel_generic(a, vw, vk);
             }
-            i8_store_tile(ep, out, acc, comp.data(), vw, wn, kn, kv,
-                          k_stride, out_base);
+            i8_store_tile(ep, out, acc, filter.rowsum.data(), comp_zp, vw,
+                          wn, kn, kv, k_stride, out_base);
           }
         });
       });

@@ -2,15 +2,18 @@
 //
 // Asymmetric u8 activations (real = in_scale * (u - zero_point)),
 // symmetric per-channel s8 filters (real = w_scale[k] * w). Int8Conv
-// packs inputs XORed with 0x80 and runs the SDOT/emulated/scalar policy
-// kernels of core/quantized_microkernel.h, finishing each tile with a
-// fused requantize epilogue (raw int32, saturating s8 with
-// round-to-nearest-even, or dequantized fp32 through the shared store
-// epilogue: bias, residual, ReLU).
+// packs inputs for the kernel it resolves — XORed with 0x80 for the
+// scalar, emulated and SDOT kernels, raw for the 16-lane VNNI ones —
+// runs the policy kernels of core/quantized_microkernel.h, and finishes
+// each tile with a fused requantize epilogue (raw int32, saturating s8
+// with round-to-nearest-even, or dequantized fp32 through the shared
+// store epilogue: bias, residual, ReLU).
 //
-// Overflow contract: choose_qmax_int8() bounds filter magnitudes so a
-// C*R*S-long reduction provably fits int32 (products reach 127^2, so
-// the bound only bites for reductions past ~133k elements).
+// Overflow contract: choose_qmax_int8() keeps reduction_len * Q^2 in
+// int32, and the accumulation and zero-point compensation are integer
+// arithmetic modulo 2^32, so every output is the exact integer
+// convolution whenever that fits int32 — however far the raw
+// accumulator (up to 255 * |w| per tap on VNNI) strays on the way.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +45,13 @@ struct QuantizedActivation {
 /// zero is exactly representable, as padding demands).
 QuantizedActivation quantize_activation_u8(const float* data,
                                            std::size_t n);
+
+/// As above into caller storage of `n` bytes (no zero-fill first); the
+/// returned `values` stays empty. Bitwise the same u8 values, scale and
+/// zero point on every input, NaN and infinities included.
+QuantizedActivation quantize_activation_u8(const float* data,
+                                           std::size_t n,
+                                           std::uint8_t* values);
 
 /// Symmetric per-output-channel s8 filter quantization:
 /// real = scales[k] * w for filter k's C*R*S taps.
@@ -92,10 +102,12 @@ struct Int8RunStats {
 };
 
 struct Int8ConvOptions {
-  /// Force a register block (0 = solve Eq. 3 for S, like fp32).
+  /// Force a register block (0 = int8_planned_block for S and the
+  /// backend, like fp32's planner).
   RegisterBlock force_block{0, 0};
   /// Backend request; defaults to the best this host supports
-  /// (kDot on ASIMDDP unless NDIRECT_FORCE_NO_DOTPROD is set).
+  /// (kDot on an ASIMDDP or AVX512-VNNI host running a build with the
+  /// matching kernels, unless NDIRECT_FORCE_NO_DOTPROD is set).
   Int8Backend backend = int8_preferred_backend();
   ThreadPool* pool = nullptr;  ///< nullptr = ThreadPool::global()
   /// Per-run telemetry sink, as NdirectOptions::telemetry: overwritten

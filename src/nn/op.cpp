@@ -157,8 +157,10 @@ Tensor ConvOp::quantized_forward(const Tensor& x,
     qpacked_ = qengine_->pack_filter(q.values.data());
     qscales_ = std::move(q.scales);
   }
-  const QuantizedActivation qx = quantize_activation_u8(
-      x.data(), static_cast<std::size_t>(params_.input_elems()));
+  const auto n = static_cast<std::size_t>(params_.input_elems());
+  AlignedBuffer<std::uint8_t> qvalues(n);
+  const QuantizedActivation qx =
+      quantize_activation_u8(x.data(), n, qvalues.data());
   qdequant_.resize(static_cast<std::size_t>(params_.K));
   for (int k = 0; k < params_.K; ++k) {
     qdequant_[static_cast<std::size_t>(k)] =
@@ -173,7 +175,7 @@ Tensor ConvOp::quantized_forward(const Tensor& x,
              Layout::NCHW);
   Int8Output dst;
   dst.f32 = out.data();
-  qengine_->run(qx.values.data(), qx.zero_point, qpacked_, epi, dst,
+  qengine_->run(qvalues.data(), qx.zero_point, qpacked_, epi, dst,
                 &qstats_);
   return out;
 }

@@ -196,15 +196,18 @@ PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
   PerfEstimate est;
   if (threads <= 0) threads = spec.cores;
   // Int8 tensors are a quarter the bytes: 4x the flops per byte both
-  // at the register tile (FAI) and at DRAM (traffic); SDOT also
-  // quadruples the per-instruction MAC rate.
+  // at the register tile (FAI) and at DRAM (traffic); the native dot
+  // (SDOT, VPDPBUSD) also quadruples the per-instruction MAC rate.
   const bool int8 = dtype != ConvDtype::kF32;
+  const bool emulated = dtype == ConvDtype::kI8Emulated;
   const double fai_scale = int8 ? 4.0 : 1.0;
   const double traffic_scale = int8 ? 0.25 : 1.0;
-  // The spec's peak is measured at its fp32 kernels' width; the int8
-  // kernels are 128-bit (4 fp32 lanes) at every width.
-  const double peak_scale = (dtype == ConvDtype::kI8Dot ? 4.0 : 1.0) *
-                            (int8 ? 4.0 / spec.fp32_lanes : 1.0);
+  // The spec's peak is measured at its fp32 kernels' width. The dot
+  // kernels run at that width too (4 lanes on NEON, 16 with VNNI); the
+  // emulated ladder is 128-bit (4 fp32 lanes) at every width.
+  const double peak_scale = dtype == ConvDtype::kI8Dot ? 4.0
+                            : emulated ? 4.0 / spec.fp32_lanes
+                                       : 1.0;
 
   double kappa = platform_kappa(spec);
   // SMT oversubscription hides load latency: each extra hardware thread
@@ -216,7 +219,8 @@ PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
     kappa /= std::sqrt(ways);
   }
 
-  const double fai = method_fai(method, p, spec.fp32_lanes) * fai_scale;
+  const double fai =
+      method_fai(method, p, emulated ? 4 : spec.fp32_lanes) * fai_scale;
   est.e_kernel = fai / (fai + kappa);
   est.u_parallel = method_utilization(method, p, threads);
 

@@ -58,7 +58,8 @@ std::vector<ConvMethod> all_methods();
 enum class ConvDtype {
   kF32,        ///< 4-byte tensors, FMA peak
   kI8Emulated, ///< 1-byte tensors, widening-multiply ladder (~FMA peak)
-  kI8Dot,      ///< 1-byte tensors, SDOT: 4x the MACs per instruction
+  kI8Dot,      ///< 1-byte tensors, SDOT / VPDPBUSD at the fp32
+               ///< kernels' width: 4x the MACs per instruction
 };
 
 const char* conv_dtype_name(ConvDtype d);
@@ -85,7 +86,9 @@ PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
 /// (4x arithmetic intensity — which is exactly what lifts the
 /// bandwidth-bound Table 4 layers), scales the register-tile FAI by
 /// the same factor, and kI8Dot additionally raises the compute roof
-/// 4x (SDOT retires 16 MACs per instruction vs the fp32 FMA's 4).
+/// 4x (a 4-way dot retires 4x the MACs of the fp32 FMA at the same
+/// width). kI8Emulated runs 128-bit on every target: its roof is the
+/// fp32 peak scaled to 4 lanes, and its block the 4-lane Eq. 3 one.
 PerfEstimate estimate_conv_perf(const PlatformSpec& spec,
                                 const ConvParams& p, ConvMethod method,
                                 int threads, ConvDtype dtype);

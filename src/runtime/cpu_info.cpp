@@ -77,6 +77,11 @@ CpuInfo probe_host_cpu() {
   info.i8mm = (getauxval(AT_HWCAP2) & kHwcap2I8mm) != 0;
 #endif
 
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  info.avx512vnni = __builtin_cpu_supports("avx512vnni") != 0;
+#endif
+
 #ifdef _SC_LEVEL1_DCACHE_SIZE
   if (long s = sysconf(_SC_LEVEL1_DCACHE_SIZE); s > 0)
     info.cache.l1d = static_cast<std::size_t>(s);

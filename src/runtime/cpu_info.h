@@ -27,6 +27,10 @@ struct CpuInfo {
   /// ARMv8.6 int8 matrix-multiply extension (HWCAP2 i8mm): adds USDOT /
   /// SMMLA. Detected for the host stamp; no kernel uses it yet.
   bool i8mm = false;
+  /// x86 AVX512-VNNI (cpuid leaf 7 ECX bit 11): VPDPBUSD, the u8 x s8
+  /// 4-way dot the x86 int8 kernels issue at 16 lanes. Always false on
+  /// non-x86 hosts.
+  bool avx512vnni = false;
 };
 
 /// Probe the calling machine. Never fails: unknown values keep defaults.

@@ -21,6 +21,16 @@
 // All three produce bitwise-identical int32 accumulators (every path is
 // exact integer arithmetic; nothing saturates before the accumulator),
 // which the quantized parity sweep asserts.
+//
+// On x86 the native dot is AVX512-VNNI's VPDPBUSD at 16 int32 lanes
+// (vec_i32<16>, a zmm register): the same 4-way dot, but u8 x s8, so
+// the kernels built on it take raw u8 activations instead of the
+// XOR-0x80 s8 shift (core/quantized_microkernel.h). It wraps modulo
+// 2^32 like every other vector add here; the engine's compensation is
+// modular too, so the compensated result is exact (DESIGN.md §14).
+// NDIRECT_INT8_DOT_COMPILED is 1 on +dotprod NEON (kI8DotLanes = 4)
+// and on AVX-512F + AVX512-VNNI builds (kI8DotLanes = 16), where the
+// fp32 kernels also run 16 lanes (simd/vec.h).
 #pragma once
 
 #include <cmath>
@@ -31,11 +41,20 @@
 
 #if defined(NDIRECT_SIMD_NEON) && defined(__ARM_FEATURE_DOTPROD)
 #define NDIRECT_INT8_DOT_COMPILED 1
+#define NDIRECT_INT8_DOT_VNNI 0
+#elif defined(NDIRECT_SIMD_SSE) && defined(__AVX512F__) && \
+    defined(__AVX512VNNI__) && defined(__FMA__)
+#define NDIRECT_INT8_DOT_COMPILED 1
+#define NDIRECT_INT8_DOT_VNNI 1
 #else
 #define NDIRECT_INT8_DOT_COMPILED 0
+#define NDIRECT_INT8_DOT_VNNI 0
 #endif
 
 namespace ndirect {
+
+/// int32 lanes of the native dot backend's accumulator vector.
+inline constexpr int kI8DotLanes = NDIRECT_INT8_DOT_VNNI ? 16 : 4;
 
 /// 16 signed bytes (4 groups of 4 channels in the int8 kernel layout).
 struct vec128b {
@@ -205,7 +224,7 @@ inline void vtranspose4x4_i32(vec128i& r0, vec128i& r1, vec128i& r2,
 // The 4-way dot product
 // ---------------------------------------------------------------------------
 
-#if NDIRECT_INT8_DOT_COMPILED
+#if NDIRECT_INT8_DOT_COMPILED && !NDIRECT_INT8_DOT_VNNI
 /// Native SDOT: acc lane i += dot(a[4i..4i+3], b[4i..4i+3]).
 inline vec128i vdot_s8_native(vec128i acc, vec128b a, vec128b b) {
   return {vdotq_s32(acc.v, a.v, b.v)};
@@ -250,22 +269,63 @@ inline vec128i vdot_s8_emul(vec128i acc, vec128b a, vec128b b) {
 #endif
 }
 
-/// Backend-selected dot product for the kernel generator: UseDot picks
-/// the native SDOT (only instantiated when the target compiles it).
-template <bool UseDot>
-inline vec128i vdot_s8(vec128i acc, vec128b a, vec128b b) {
-#if NDIRECT_INT8_DOT_COMPILED
-  if constexpr (UseDot) {
-    return vdot_s8_native(acc, a, b);
-  } else {
-    return vdot_s8_emul(acc, a, b);
+// ---------------------------------------------------------------------------
+// The int32 accumulator vector of L lanes the kernels are generated for
+// ---------------------------------------------------------------------------
+
+/// vec_i32<4> is vec128i (the emulated ladder and NEON SDOT);
+/// vec_i32<16> is a zmm register of the VNNI kernels. Both leave the
+/// kernel through 128-bit quarters, so the tile store has one
+/// implementation at every width.
+template <int L>
+struct vec_i32;
+
+template <>
+struct vec_i32<4> {
+  vec128i v;
+
+  static vec_i32 zero() { return {vzero_i32()}; }
+  template <int Q>
+  vec128i quarter() const {
+    static_assert(Q == 0);
+    return v;
   }
-#else
-  static_assert(!UseDot,
-                "native dot kernels require a +dotprod compile target");
-  return vdot_s8_emul(acc, a, b);
+};
+
+#if NDIRECT_INT8_DOT_VNNI
+template <>
+struct vec_i32<16> {
+  __m512i v;
+
+  static vec_i32 zero() { return {_mm512_setzero_si512()}; }
+  /// The 4 u8 channel bytes at p in every 32-bit lane (one input group).
+  static __m512i broadcast_group(const std::int8_t* p) {
+    std::int32_t g;
+    std::memcpy(&g, p, sizeof(g));
+    return _mm512_set1_epi32(g);
+  }
+  /// 16 lanes x 4 s8 filter bytes.
+  static __m512i load(const std::int8_t* p) {
+    return _mm512_loadu_si512(p);
+  }
+  /// VPDPBUSD: lane i += dot(u8 u[4i..4i+3], s8 f[4i..4i+3]), wrapping.
+  static vec_i32 dot(vec_i32 acc, __m512i u, __m512i f) {
+    return {_mm512_dpbusd_epi32(acc.v, u, f)};
+  }
+  /// Lanes [4Q, 4Q + 4). (__builtin_shufflevector, not the extract
+  /// intrinsic, for the reason given in simd/vec.h.)
+  template <int Q>
+  vec128i quarter() const {
+    static_assert(Q >= 0 && Q < 4);
+    using v16si = int __attribute__((vector_size(64)));
+    using v4si = int __attribute__((vector_size(16)));
+    const v16si x = reinterpret_cast<v16si>(v);
+    const v4si q =
+        __builtin_shufflevector(x, x, 4 * Q, 4 * Q + 1, 4 * Q + 2, 4 * Q + 3);
+    return {reinterpret_cast<__m128i>(q)};
+  }
+};
 #endif
-}
 
 /// Round float lanes to nearest-even integers (the requantize rounding
 /// contract). NEON FRINTN / SSE4.1 ROUNDPS round-to-nearest are RNE by

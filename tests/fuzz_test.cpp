@@ -180,6 +180,96 @@ TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
 INSTANTIATE_TEST_SUITE_P(Topologies, DagFuzz, ::testing::Range(0, 110));
 
 // ----------------------------------------------------------------------
+// Residual fusion fuzz: conv -> add (-> relu) chains
+// ----------------------------------------------------------------------
+
+/// Residual chains for fuse_conv_relu's add rewrite, from a stream of
+/// their own (build_random_dag's stays untouched): a stem conv, then
+/// 1-3 blocks x -> conv [-> relu] -> conv -> add(x, .) [-> relu], some
+/// with a 1x1 projection shortcut built before or after the main path
+/// (so either conv can be the add's later input), and some whose last
+/// conv has a second consumer, where the rewrite must not fire.
+std::unique_ptr<Graph> build_residual_chain(std::uint64_t seed) {
+  std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ull);
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto g = std::make_unique<Graph>(pick(1, 2), pick(2, 8), pick(5, 12),
+                                   pick(5, 14));
+  std::uint64_t wseed = seed * 101;
+  auto conv = [&](NodeId src, int k, int r) {
+    return g->add(testgen::make_conv(g->shape_of(src), k, r, 1, ++wseed),
+                  {src});
+  };
+  NodeId x = conv(0, pick(3, 20), pick(0, 1) == 0 ? 1 : 3);
+  std::vector<NodeId> side;
+  const int blocks = pick(1, 3);
+  for (int b = 0; b < blocks; ++b) {
+    const int channels = g->shape_of(x).C;
+    const bool project = pick(0, 2) == 0;
+    const bool project_first = pick(0, 1) == 0;
+    NodeId shortcut = x;
+    if (project && project_first) shortcut = conv(x, channels, 1);
+    NodeId m = conv(x, pick(3, 16), pick(0, 1) == 0 ? 1 : 3);
+    if (pick(0, 1) == 0) m = g->add(std::make_unique<ReluOp>(), {m});
+    const NodeId last = conv(m, channels, pick(0, 1) == 0 ? 1 : 3);
+    if (project && !project_first) shortcut = conv(x, channels, 1);
+    if (pick(0, 5) == 0) {
+      side.push_back(g->add(std::make_unique<ReluOp>(), {last}));
+    }
+    x = pick(0, 1) == 0
+            ? g->add(std::make_unique<AddOp>(), {shortcut, last})
+            : g->add(std::make_unique<AddOp>(), {last, shortcut});
+    if (pick(0, 2) != 0) x = g->add(std::make_unique<ReluOp>(), {x});
+  }
+  // Side branches join the output through adds of non-conv inputs.
+  for (const NodeId s : side) x = g->add(std::make_unique<AddOp>(), {x, s});
+  return g;
+}
+
+int count_adds(Graph& g) {
+  int n = 0;
+  for (NodeId id = 1; id < g.node_count(); ++id) {  // 0 is the input
+    if (std::strcmp(g.op_of(id)->name(), "add") == 0) ++n;
+  }
+  return n;
+}
+
+TEST(FuseResidualFuzz, FusedChainsAreBitwiseTheUnfusedRun) {
+  // Every fused graph must compute bitwise the unfused graph's output —
+  // every fourth seed on the int8 path, whose f32 epilogue takes the
+  // residual — and the rewrite must fire in most seeds (DagFuzz's
+  // random graphs reach it in only a few).
+  constexpr int kSeeds = 48;
+  int fired = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    auto plain = build_residual_chain(static_cast<std::uint64_t>(seed));
+    auto fused = build_residual_chain(static_cast<std::uint64_t>(seed));
+    const int adds = count_adds(*fused);
+    const int nodes = fused->node_count();
+    const int removed = fuse_conv_relu(*fused);
+    EXPECT_EQ(fused->node_count(), nodes - removed) << "seed " << seed;
+    if (count_adds(*fused) < adds) ++fired;
+    if (seed % 4 == 3) {
+      quantize_convs(*plain);
+      quantize_convs(*fused);
+    }
+    const TensorShape& s = plain->shape_of(0);
+    Tensor input = make_input_nchw(s.N, s.C, s.H, s.W);
+    fill_random(input, static_cast<std::uint64_t>(seed) * 13 + 5);
+    const Tensor want = plain->run(input);
+    const Tensor got = fused->run(input);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "seed " << seed << ": "
+        << compare_tensors(got, want).to_string();
+  }
+  EXPECT_GE(fired, kSeeds * 3 / 4) << fired << " of " << kSeeds;
+}
+
+// ----------------------------------------------------------------------
 // Batch invariance: graph(N=k) slice i == graph(N=1) on image i
 // ----------------------------------------------------------------------
 

@@ -313,6 +313,30 @@ TEST(PerfModel, EstimateNeverExceedsThreadsTimesCorePeak) {
   }
 }
 
+TEST(PerfModel, Int8DotRoofRunsAtTheFp32KernelWidth) {
+  // The compute roof (compute_bound / (e_kernel * u_parallel)) of each
+  // dtype: the dot kernels run at the spec's fp32 width and retire 4x
+  // the MACs of its FMA; the emulated ladder is 128-bit everywhere, so
+  // at 16 lanes its roof is a quarter of the fp32 one.
+  for (const int lanes : {4, 16}) {
+    PlatformSpec spec = platform_by_name("RPi 4");
+    spec.fp32_lanes = lanes;
+    for (const ConvLayer& layer : table4_layers(spec.cores)) {
+      const auto roof = [&](ConvDtype d) {
+        const PerfEstimate e = estimate_conv_perf(
+            spec, layer.params, ConvMethod::Ndirect, spec.cores, d);
+        return e.compute_bound / (e.e_kernel * e.u_parallel);
+      };
+      const double f32 = roof(ConvDtype::kF32);
+      const double dot = roof(ConvDtype::kI8Dot);
+      const double emu = roof(ConvDtype::kI8Emulated);
+      EXPECT_NEAR(dot, 4.0 * f32, 1e-9 * dot) << "lanes " << lanes;
+      EXPECT_NEAR(emu, f32 * 4.0 / lanes, 1e-9 * dot)
+          << "lanes " << lanes;
+    }
+  }
+}
+
 TEST(PerfModel, NdirectEstimateDoesNotFallAsThreadsRiseToCores) {
   for (const PlatformSpec& spec : model_specs()) {
     for (const ConvLayer& layer : table4_layers(spec.cores)) {

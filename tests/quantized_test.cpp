@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -198,12 +199,177 @@ TEST(Int8Conv, ForcedBlocksStayExact) {
   std::vector<std::int32_t> want(
       static_cast<std::size_t>(p.output_elems()));
   naive_conv_int8(in.data(), 100, flt.data(), want.data(), p);
-  for (const RegisterBlock rb : int8_microkernel_blocks()) {
-    if (!kernel_block_feasible(rb.vw, rb.vk, p.S)) continue;
+  const Int8Backend preferred = int8_preferred_backend();
+  for (const RegisterBlock rb : int8_microkernel_blocks(preferred)) {
+    if (!int8_block_feasible(rb.vw, rb.vk, p.S, preferred)) continue;
     Int8ConvOptions opt;
     opt.force_block = rb;
     ASSERT_EQ(run_raw(p, in, 100, flt, opt), want)
         << "vw=" << rb.vw << " vk=" << rb.vk;
+  }
+}
+
+bool host_runs_vnni() {
+  return NDIRECT_INT8_DOT_VNNI && probe_host_cpu().avx512vnni &&
+         int8_preferred_backend() == Int8Backend::kDot;
+}
+
+// Runs `p` on `backend` in one output mode: 0 = i32, 1 = s8 requantize
+// (int32 bias, ReLU at the output zero point), 2 = f32 dequantize (bias,
+// residual, ReLU). Returns the output bytes.
+std::vector<unsigned char> run_mode(const ConvParams& p,
+                                    const std::vector<std::uint8_t>& in,
+                                    int zp,
+                                    const std::vector<std::int8_t>& flt,
+                                    Int8Backend backend, int mode,
+                                    Int8RunStats* stats) {
+  const auto K = static_cast<std::size_t>(p.K);
+  const auto outs = static_cast<std::size_t>(p.output_elems());
+  std::vector<float> scale(K), bias(K);
+  std::vector<std::int32_t> bias_i32(K);
+  for (std::size_t k = 0; k < K; ++k) {
+    scale[k] = 1.0f / static_cast<float>(700 + 37 * k);
+    bias[k] = 0.25f * static_cast<float>(k % 5) - 0.5f;
+    bias_i32[k] = static_cast<std::int32_t>(k * 113) - 900;
+  }
+  const std::vector<float> residual = random_f32(outs, 4242);
+  Int8Epilogue ep;
+  Int8Output dst;
+  std::vector<std::int32_t> o32(outs);
+  std::vector<std::int8_t> o8(outs);
+  std::vector<float> of(outs);
+  if (mode == 0) {
+    dst.i32 = o32.data();
+  } else if (mode == 1) {
+    ep.requant_scale = scale.data();
+    ep.bias_i32 = bias_i32.data();
+    ep.out_zero_point = -3;
+    ep.relu = true;
+    dst.s8 = o8.data();
+  } else {
+    ep.dequant_scale = scale.data();
+    ep.bias = bias.data();
+    ep.residual = residual.data();
+    ep.relu = true;
+    dst.f32 = of.data();
+  }
+  Int8ConvOptions opt;
+  opt.backend = backend;
+  Int8Conv(p, opt).run(in.data(), zp, flt.data(), ep, dst, stats);
+  const auto bytes = [](const auto& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(v.data());
+    return std::vector<unsigned char>(b, b + v.size() * sizeof(v[0]));
+  };
+  return mode == 0 ? bytes(o32) : mode == 1 ? bytes(o8) : bytes(of);
+}
+
+TEST(Int8Conv, VnniBackendIsBitwiseIdenticalInEveryMode) {
+  // The raw-u8 VNNI kernels (16 lanes, compensation -zp * sum(w)) must
+  // agree bit for bit with the XOR-packed scalar and emulated kernels
+  // in i32, s8 and f32 modes over the whole correctness sweep.
+  if (!host_runs_vnni()) GTEST_SKIP() << "needs a VNNI build and host";
+  int i = 0;
+  for (const ConvParams& p : correctness_conv_shapes()) {
+    const auto in = random_u8(
+        static_cast<std::size_t>(p.input_elems()), 303 + i);
+    const auto flt = random_s8(
+        static_cast<std::size_t>(p.filter_elems()), 404 + i);
+    const int zp = (i * 53) % 256;
+    ++i;
+    for (int mode = 0; mode < 3; ++mode) {
+      Int8RunStats dot_stats;
+      const auto dot =
+          run_mode(p, in, zp, flt, Int8Backend::kDot, mode, &dot_stats);
+      EXPECT_EQ(dot_stats.backend, Int8Backend::kDot) << p;
+      EXPECT_EQ(dot_stats.generic_fallback, 0u) << p;
+      EXPECT_EQ(dot_stats.vk % 16, 0) << p;
+      for (const Int8Backend b :
+           {Int8Backend::kScalar, Int8Backend::kEmulated}) {
+        ASSERT_EQ(run_mode(p, in, zp, flt, b, mode, nullptr), dot)
+            << p << " zp=" << zp << " mode " << mode << " vs "
+            << int8_backend_name(b);
+      }
+    }
+  }
+}
+
+TEST(Int8Conv, VnniForcedBlocksStayExact) {
+  // Every 16-lane block of the VNNI grid, at every S and both strides.
+  if (!host_runs_vnni()) GTEST_SKIP() << "needs a VNNI build and host";
+  for (const int S : {1, 3, 5, 7}) {
+    for (const int str : {1, 2}) {
+      const ConvParams p{.N = 1, .C = 9, .H = S + 3, .W = 53, .K = 35,
+                         .R = S, .S = S, .str = str, .pad = S / 2};
+      const auto in =
+          random_u8(static_cast<std::size_t>(p.input_elems()), 50 + S);
+      const auto flt =
+          random_s8(static_cast<std::size_t>(p.filter_elems()), 60 + S);
+      std::vector<std::int32_t> want(
+          static_cast<std::size_t>(p.output_elems()));
+      naive_conv_int8(in.data(), 201, flt.data(), want.data(), p);
+      for (const RegisterBlock rb :
+           int8_microkernel_blocks(Int8Backend::kDot)) {
+        if (!int8_block_feasible(rb.vw, rb.vk, S, Int8Backend::kDot)) {
+          continue;
+        }
+        Int8ConvOptions opt;
+        opt.backend = Int8Backend::kDot;
+        opt.force_block = rb;
+        Int8RunStats stats;
+        ASSERT_EQ(run_raw(p, in, 201, flt, opt, &stats), want)
+            << p << " vw=" << rb.vw << " vk=" << rb.vk;
+        EXPECT_EQ(stats.backend, Int8Backend::kDot);
+      }
+    }
+  }
+}
+
+TEST(Int8Conv, CompensationWrapsExactlyAtTheQmaxBoundary) {
+  // The longest reduction choose_qmax_int8 still gives q = 127. Raw u8
+  // accumulators (VNNI) reach 255 * 127 per tap and the XOR form's
+  // -128 * 127, so either the raw sum or the compensation term leaves
+  // int32 here although the true result fits; the modular arithmetic
+  // must bring every backend back to it exactly (and, under UBSan,
+  // without a signed overflow).
+  const std::int64_t len = 133144;
+  ASSERT_EQ(choose_qmax_int8(len), 127);
+  const ConvParams p{.N = 1, .C = static_cast<int>(len), .H = 1, .W = 5,
+                     .K = 18, .R = 1, .S = 1, .str = 1, .pad = 0};
+  std::vector<Int8Backend> backends = {Int8Backend::kScalar,
+                                       Int8Backend::kEmulated};
+  if (int8_preferred_backend() == Int8Backend::kDot) {
+    backends.push_back(Int8Backend::kDot);
+  }
+  struct Case {
+    std::uint8_t u;
+    int zp;
+  };
+  for (const Case c : {Case{0, 127}, Case{255, 128}, Case{255, 255}}) {
+    const std::vector<std::uint8_t> in(
+        static_cast<std::size_t>(p.input_elems()), c.u);
+    std::vector<std::int8_t> flt(static_cast<std::size_t>(p.filter_elems()));
+    for (int k = 0; k < p.K; ++k) {
+      std::fill_n(flt.begin() + k * len, len,
+                  static_cast<std::int8_t>(k % 2 == 0 ? 127 : -127));
+    }
+    for (const Int8Backend b : backends) {
+      Int8ConvOptions opt;
+      opt.backend = b;
+      const auto got = run_raw(p, in, c.zp, flt, opt);
+      for (int k = 0; k < p.K; ++k) {
+        const std::int64_t want =
+            (std::int64_t{c.u} - c.zp) * (k % 2 == 0 ? 127 : -127) * len;
+        ASSERT_LE(std::abs(want), std::numeric_limits<std::int32_t>::max());
+        for (int q = 0; q < p.W; ++q) {
+          ASSERT_EQ(got[static_cast<std::size_t>(k * p.W + q)], want)
+              << "u=" << int{c.u} << " zp=" << c.zp << " k=" << k
+              << " backend " << int8_backend_name(b);
+        }
+      }
+      // The s8 store adds the compensation in scalar code.
+      EXPECT_EQ(run_mode(p, in, c.zp, flt, b, 1, nullptr),
+                run_mode(p, in, c.zp, flt, Int8Backend::kScalar, 1, nullptr));
+    }
   }
 }
 
@@ -357,6 +523,97 @@ TEST(QuantizeHelpers, ActivationRangeAlwaysCoversZero) {
   EXPECT_EQ(qn.zero_point, 255);
 }
 
+// The activation quantizer as a scalar loop (libm lrintf per element,
+// zero-filled output) — the oracle for the vector passes.
+QuantizedActivation quantize_activation_u8_loop(const float* data,
+                                                std::size_t n) {
+  float lo = 0.0f, hi = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, data[i]);
+    hi = std::max(hi, data[i]);
+  }
+  QuantizedActivation q;
+  const float range = hi - lo;
+  q.scale = range > 0 ? range / 255.0f : 1.0f;
+  const float inv = 1.0f / q.scale;
+  q.zero_point = std::clamp<std::int32_t>(
+      static_cast<std::int32_t>(std::lrintf(-lo * inv)), 0, 255);
+  q.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t v =
+        static_cast<std::int32_t>(std::lrintf(data[i] * inv)) +
+        q.zero_point;
+    q.values[i] =
+        static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
+  }
+  return q;
+}
+
+TEST(QuantizeHelpers, VectorQuantizeMatchesScalarLoopBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> inputs;
+  // Range 255 (scale 1, inv 1): every k + 0.5 is an exact rounding tie.
+  std::vector<float> ties = {-100.0f, 155.0f};
+  for (int k = -100; k < 155; k += 3) {
+    ties.push_back(static_cast<float>(k) + 0.5f);
+  }
+  inputs.push_back(ties);
+  std::vector<float> zeros(37, 0.0f);
+  for (std::size_t i = 0; i < zeros.size(); i += 2) zeros[i] = -0.0f;
+  inputs.push_back(zeros);
+  inputs.push_back(std::vector<float>(19, -0.0f));
+  const std::vector<float> noise = random_f32(1000 + 7, 77);
+  inputs.push_back(noise);
+  for (const float special : {nan, inf, -inf}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{5},
+                                 std::size_t{17}, std::size_t{1006}}) {
+      std::vector<float> v = noise;
+      v[at] = special;
+      inputs.push_back(v);
+    }
+  }
+  inputs.push_back({nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+                    nan, nan, nan, nan, nan, nan});
+  inputs.push_back({inf, -inf, 1.0f, -1.0f, 0.0f, nan, 2.5f, -2.5f, 3.0f,
+                    4.0f, 5.0f, 6.0f, 7.0f, 8.0f, 9.0f, 10.0f, 11.0f});
+  // Extreme ranges: overflowing (inf range), huge, and tiny/denormal.
+  std::vector<float> huge = random_f32(40, 78);
+  huge[3] = 3.0e38f;
+  huge[21] = -3.0e38f;
+  inputs.push_back(huge);
+  std::vector<float> tiny = random_f32(40, 79);
+  for (float& x : tiny) x *= 1e-40f;
+  inputs.push_back(tiny);
+  std::vector<float> small = random_f32(40, 80);
+  for (float& x : small) x *= 1e-37f;
+  inputs.push_back(small);
+  for (const std::vector<float>& full : inputs) {
+    // Ragged lengths: every prefix up to 40, then the whole input.
+    for (std::size_t n = 0; n <= full.size(); n = n < 40 ? n + 1 : n + 997) {
+      if (n > full.size()) n = full.size();
+      const QuantizedActivation want =
+          quantize_activation_u8_loop(full.data(), n);
+      const QuantizedActivation got = quantize_activation_u8(full.data(), n);
+      std::vector<std::uint8_t> raw(n + 1, 0xAB);
+      const QuantizedActivation into =
+          quantize_activation_u8(full.data(), n, raw.data());
+      ASSERT_EQ(got.values, want.values) << "n=" << n;
+      ASSERT_EQ(std::vector<std::uint8_t>(raw.begin(), raw.begin() + n),
+                want.values)
+          << "n=" << n;
+      EXPECT_EQ(raw[n], 0xAB) << "wrote past n=" << n;
+      EXPECT_TRUE(into.values.empty());
+      for (const QuantizedActivation* q : {&got, &into}) {
+        ASSERT_EQ(std::memcmp(&q->scale, &want.scale, sizeof(float)), 0)
+            << "n=" << n;
+        ASSERT_EQ(q->zero_point, want.zero_point) << "n=" << n;
+      }
+      if (n == full.size()) break;
+    }
+  }
+}
+
 TEST(QuantizeHelpers, PerChannelScalesTrackChannelRanges) {
   const ConvParams p{.N = 1, .C = 2, .H = 4, .W = 4, .K = 3, .R = 3,
                      .S = 3, .str = 1, .pad = 1};
@@ -467,21 +724,31 @@ TEST(Int8Conv, FusedBiasAndReluMatchUnfused) {
 // ----------------------------------------------------------------------
 
 TEST(Int8Registry, InstantiatesTheFullPolicyGrid) {
+  // Each compiled backend holds every block its budget admits: the
+  // 4-lane Eq. 3 grid for the emulated ladder, the kI8DotLanes grid
+  // for the native dot (16 lanes with VNNI).
+  std::vector<Int8Backend> backends = {Int8Backend::kEmulated};
+  if (NDIRECT_INT8_DOT_COMPILED) backends.push_back(Int8Backend::kDot);
   std::size_t expected = 0;
-  for (const int S : {1, 3, 5, 7}) {
-    for (int vw = 4; vw <= kMaxVw; vw += 4) {
-      for (int vk = 4; vk <= kMaxVk; vk += 4) {
-        if (kernel_block_feasible(vw, vk, S)) ++expected;
+  for (const Int8Backend b : backends) {
+    const int lanes = int8_backend_lanes(b);
+    for (const int S : {1, 3, 5, 7}) {
+      for (int vw = 4; vw <= kMaxVw; vw += 4) {
+        for (int vk = lanes; vk <= kMaxVk; vk += lanes) {
+          if (int8_block_feasible(vw, vk, S, b)) ++expected;
+        }
       }
     }
   }
   expected *= 2;  // strides 1, 2
-  expected *= NDIRECT_INT8_DOT_COMPILED ? 2 : 1;  // backends
   EXPECT_EQ(int8_kernel_registry().size(), expected);
   for (const I8KernelEntry& e : int8_kernel_registry()) {
     EXPECT_NE(e.fn, nullptr);
-    EXPECT_TRUE(kernel_block_feasible(e.vw, e.vk, e.S));
+    EXPECT_TRUE(int8_block_feasible(e.vw, e.vk, e.S, e.backend));
+    EXPECT_EQ(e.vk % int8_backend_lanes(e.backend), 0);
   }
+  EXPECT_EQ(int8_backend_lanes(Int8Backend::kDot),
+            NDIRECT_INT8_DOT_VNNI ? 16 : 4);
 }
 
 TEST(Int8Registry, PreferredBackendRespectsForceNoDotprod) {
@@ -492,12 +759,29 @@ TEST(Int8Registry, PreferredBackendRespectsForceNoDotprod) {
     EXPECT_EQ(int8_preferred_backend(), Int8Backend::kEmulated);
   }
   // The hardware claim must be consistent with the compile target: a
-  // kDot preference requires both the compiled kernels and the
-  // ASIMDDP hwcap.
-  if (int8_preferred_backend() == Int8Backend::kDot) {
-    EXPECT_TRUE(NDIRECT_INT8_DOT_COMPILED);
-    EXPECT_TRUE(probe_host_cpu().asimddp);
+  // kDot preference requires both the compiled kernels and the host's
+  // instruction (ASIMDDP for SDOT, AVX512-VNNI for VPDPBUSD), so a
+  // binary built for one CPU never issues the dot on another.
+  const CpuInfo cpu = probe_host_cpu();
+  const bool host_dot = NDIRECT_INT8_DOT_VNNI ? cpu.avx512vnni : cpu.asimddp;
+  EXPECT_EQ(int8_preferred_backend() == Int8Backend::kDot,
+            NDIRECT_INT8_DOT_COMPILED && host_dot);
+  EXPECT_STREQ(int8_backend_name(Int8Backend::kDot),
+               NDIRECT_INT8_DOT_VNNI       ? "vnni"
+               : NDIRECT_INT8_DOT_COMPILED ? "sdot"
+                                           : "dot");
+}
+
+TEST(Int8Registry, VnniHostPrefersVnniUnlessForcedOff) {
+  if (!host_runs_vnni()) {
+    GTEST_SKIP() << "needs a VNNI build on a VNNI host, dot not forced off";
   }
+  setenv("NDIRECT_FORCE_NO_DOTPROD", "1", 1);
+  const Int8Conv forced(table4_layer(21, 1).params);
+  unsetenv("NDIRECT_FORCE_NO_DOTPROD");
+  EXPECT_EQ(forced.backend(), Int8Backend::kEmulated);
+  EXPECT_EQ(Int8Conv(table4_layer(21, 1).params).backend(),
+            Int8Backend::kDot);
 }
 
 TEST(Int8Conv, NoGenericFallbackAcrossTable4) {
@@ -618,7 +902,8 @@ TEST(Int8Autotune, SweepsTheRegistryBlocks) {
   const Int8TuneResult r = autotune_int8_block(p, 0.2);
   EXPECT_FALSE(r.trials.empty());
   EXPECT_GT(r.best_gflops, 0.0);
-  EXPECT_TRUE(kernel_block_feasible(r.best.vw, r.best.vk, p.S));
+  EXPECT_TRUE(int8_block_feasible(r.best.vw, r.best.vk, p.S,
+                                  int8_preferred_backend()));
 }
 
 // ----------------------------------------------------------------------
