@@ -9,9 +9,24 @@
 // each channel convolves independently. A MobileNet/Xception
 // depthwise-separable block is this kernel followed by a 1x1 NdirectConv
 // (nn::DepthwiseConvOp + nn::ConvOp).
+//
+// One kernel serves every stride, pad and width. Each (n, c) plane tile
+// first copies its input plane into the worker's scratch: zero-padded,
+// split into `str` column phases (stride 2 de-interleaves even and odd
+// columns with a vector permute) and into `str` row parities, so that
+// every tap of every output sits at one constant offset from that
+// output. The tile then computes all outputs at the target's full
+// vector width (kKernelLanes, simd/vec.h), each tap one unchecked
+// contiguous load and one FMA; small planes fill a vector with several
+// output rows. Each output takes its taps in (r, s) order. A padded
+// zero tap leaves a finite partial sum unchanged unless that sum is -0
+// (which only an underflowing product makes), so for finite filters an
+// output is bitwise the in-range tap loop's. The store epilogue (bias,
+// residual, ReLU) runs on the accumulators as they are stored.
 #pragma once
 
 #include "core/epilogue.h"
+#include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
@@ -37,12 +52,15 @@ struct DepthwiseParams {
 
 /// input NCHW [N,C,H,W], filter [C,1,R,S] (KCRS with K=C, C=1)
 /// -> output NCHW [N,C,P,Q], finished by the store epilogue `epi`
-/// (per-channel bias, an NCHW [N,C,P,Q] residual, ReLU). Throws
-/// std::invalid_argument on invalid params or mismatched tensor shapes.
+/// (per-channel bias, an NCHW [N,C,P,Q] residual, ReLU). `telemetry`,
+/// if set, receives the run's per-worker counters (one tile per plane).
+/// Throws std::invalid_argument on invalid params or mismatched tensor
+/// shapes.
 Tensor depthwise_conv_nchw(const Tensor& input, const Tensor& filter,
                            const DepthwiseParams& p,
                            ThreadPool* pool = nullptr,
-                           const ConvEpilogue& epi = {});
+                           const ConvEpilogue& epi = {},
+                           TelemetrySnapshot* telemetry = nullptr);
 
 /// Reference implementation (double accumulation) for tests.
 Tensor depthwise_conv_reference(const Tensor& input, const Tensor& filter,

@@ -11,8 +11,9 @@
 //
 // so a fused output is bitwise the output of conv -> add -> relu. The
 // fp32 direct engine applies it in its micro-kernels' tile stores, the
-// int8 engine in its dequantizing store, the depthwise engine on each
-// output row as it finishes (finish_row).
+// int8 engine in its dequantizing store, the depthwise engine in the
+// 128-bit quarter stores of its wide accumulators (finish_row's
+// operations, in registers).
 #pragma once
 
 #include <algorithm>
@@ -33,8 +34,7 @@ struct ConvEpilogue {
 
 /// The epilogue on `n` finished outputs of one channel, in place: + the
 /// channel's `bias` (nullptr = none), + `residual`'s matching elements
-/// (nullptr = none), then the ReLU. For engines that finish a row at a
-/// time (depthwise) and backends with no fused store.
+/// (nullptr = none), then the ReLU. For backends with no fused store.
 inline void finish_row(float* out, std::int64_t n, const float* bias,
                        const float* residual, bool relu) {
   const vec128f b = vdup(bias != nullptr ? *bias : 0.0f);

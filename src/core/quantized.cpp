@@ -15,15 +15,15 @@
 namespace ndirect {
 
 std::int32_t choose_qmax_int8(std::int64_t reduction_len) {
-  // Exact integer search (a sqrt/floor shortcut is off by one exactly at
-  // the boundary: 133144 * 127^2 = 2147479576 still fits, but
-  // floor(sqrt(INT32_MAX / 133144)) = 126).
+  // A tap's true product is (u - zp) * w with |u - zp| <= 255 and
+  // |w| <= q, so len * 255 * q <= 2^31 - 1 keeps the true sum in int32:
+  // q = floor((2^31 - 1) / (255 * len)), exact in integers (66311 taps
+  // admit 127, 66312 only 126).
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
   if (reduction_len < 1) reduction_len = 1;
   if (reduction_len >= kMax) return 1;
-  std::int32_t q = 127;
-  while (q > 1 && reduction_len * q * q > kMax) --q;
-  return q;
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(kMax / (255 * reduction_len), 1, 127));
 }
 
 namespace {

@@ -9,7 +9,7 @@
 // with round-to-nearest-even, or dequantized fp32 through the shared
 // store epilogue: bias, residual, ReLU).
 //
-// Overflow contract: choose_qmax_int8() keeps reduction_len * Q^2 in
+// Overflow contract: choose_qmax_int8() keeps reduction_len * 255 * Q in
 // int32, and the accumulation and zero-point compensation are integer
 // arithmetic modulo 2^32, so every output is the exact integer
 // convolution whenever that fits int32 — however far the raw
@@ -29,9 +29,10 @@
 namespace ndirect {
 
 /// Largest symmetric s8 magnitude Q (<= 127) such that a reduction of
-/// `reduction_len` worst-case products provably fits an int32
-/// accumulator: reduction_len * Q^2 <= 2^31 - 1. Returns 127 for every
-/// reduction up to 133144 elements and only then starts shrinking.
+/// `reduction_len` worst-case products (u - zp) * w, |u - zp| <= 255,
+/// provably fits an int32 accumulator: reduction_len * 255 * Q <=
+/// 2^31 - 1. Returns 127 for every reduction up to 66311 elements and
+/// only then starts shrinking.
 std::int32_t choose_qmax_int8(std::int64_t reduction_len);
 
 /// Asymmetric u8 activation quantization: real = scale * (u - zero_point).

@@ -278,7 +278,8 @@ Tensor DepthwiseConvOp::forward(
   ConvEpilogue epi;
   epi.bias = bias_.empty() ? nullptr : bias_.data();
   epi.relu = fused_relu_;
-  return depthwise_conv_nchw(*in.at(0), filter_, params_, pool_, epi);
+  return depthwise_conv_nchw(*in.at(0), filter_, params_, pool_, epi,
+                             telemetry_);
 }
 
 // ---------------------------------------------------------------------------

@@ -197,12 +197,19 @@ class DepthwiseConvOp final : public Op {
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* pool() const { return pool_; }
 
+  /// Collect each forward()'s per-worker engine counters into `sink`,
+  /// as ConvOp::set_telemetry does; nullptr (the default) disables
+  /// collection.
+  void set_telemetry(TelemetrySnapshot* sink) { telemetry_ = sink; }
+  TelemetrySnapshot* telemetry() const { return telemetry_; }
+
  private:
   DepthwiseParams params_;
   Tensor filter_;  ///< [C, 1, R, S]
   std::vector<float> bias_;
   bool fused_relu_ = false;
   ThreadPool* pool_ = nullptr;  ///< nullptr = global pool
+  TelemetrySnapshot* telemetry_ = nullptr;  ///< nullptr = no collection
 };
 
 class ReluOp final : public Op {

@@ -381,6 +381,23 @@ inline void vtranspose4x4(vec128f& r0, vec128f& r1, vec128f& r2,
 #endif
 }
 
+/// Split the 8 floats of (a, b) by index parity: *even = {a0, a2, b0,
+/// b2}, *odd = {a1, a3, b1, b3}. The stride-2 column de-interleave of
+/// the depthwise pack.
+inline void vdeinterleave(vec128f a, vec128f b, vec128f* even,
+                          vec128f* odd) {
+#if defined(NDIRECT_SIMD_NEON)
+  even->v = vuzp1q_f32(a.v, b.v);
+  odd->v = vuzp2q_f32(a.v, b.v);
+#elif defined(NDIRECT_SIMD_SSE)
+  even->v = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(2, 0, 2, 0));
+  odd->v = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(3, 1, 3, 1));
+#else
+  *even = {{a.v[0], a.v[2], b.v[0], b.v[2]}};
+  *odd = {{a.v[1], a.v[3], b.v[1], b.v[3]}};
+#endif
+}
+
 /// Software prefetch hint (no-op where unsupported).
 inline void vprefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -112,27 +112,27 @@ TEST(ChooseQmaxInt8, SmallReductionsGetFullRange) {
 }
 
 TEST(ChooseQmaxInt8, ExactOverflowBoundary) {
-  // 133144 * 127^2 = 2147479576 <= 2^31 - 1, but 133145 * 127^2
-  // overflows — the sqrt/floor shortcut gets this boundary wrong.
-  EXPECT_EQ(choose_qmax_int8(133144), 127);
-  EXPECT_EQ(choose_qmax_int8(133145), 126);
-  const std::int64_t len = 133145;
+  // |u - zp| reaches 255, so the bound is len * 255 * q <= 2^31 - 1:
+  // 66311 * 255 * 127 = 2147481735 fits, 66312 * 255 * 127 does not.
+  EXPECT_EQ(choose_qmax_int8(66311), 127);
+  EXPECT_EQ(choose_qmax_int8(66312), 126);
+  const std::int64_t len = 66312;
   const std::int64_t q = choose_qmax_int8(len);
-  EXPECT_LE(len * q * q, std::numeric_limits<std::int32_t>::max());
-  EXPECT_GT(len * (q + 1) * (q + 1),
-            std::numeric_limits<std::int32_t>::max());
+  EXPECT_LE(len * 255 * q, std::numeric_limits<std::int32_t>::max());
+  EXPECT_GT(len * 255 * (q + 1), std::numeric_limits<std::int32_t>::max());
 }
 
 TEST(ChooseQmaxInt8, NeverOverflowsForAnyLength) {
   for (const std::int64_t len :
-       {std::int64_t{1}, std::int64_t{1000}, std::int64_t{133144},
-        std::int64_t{133145}, std::int64_t{1} << 20,
-        std::int64_t{1} << 31, std::int64_t{1} << 40}) {
+       {std::int64_t{1}, std::int64_t{1000}, std::int64_t{66311},
+        std::int64_t{66312}, std::int64_t{100000}, std::int64_t{133145},
+        std::int64_t{1} << 20, std::int64_t{1} << 31,
+        std::int64_t{1} << 40}) {
     const std::int64_t q = choose_qmax_int8(len);
     ASSERT_GE(q, 1);
     ASSERT_LE(q, 127);
-    if (len < (std::int64_t{1} << 31)) {
-      EXPECT_LE(len * q * q, std::numeric_limits<std::int32_t>::max())
+    if (len < (std::int64_t{1} << 23)) {
+      EXPECT_LE(len * 255 * q, std::numeric_limits<std::int32_t>::max())
           << "len=" << len;
     }
   }
@@ -325,13 +325,12 @@ TEST(Int8Conv, VnniForcedBlocksStayExact) {
 }
 
 TEST(Int8Conv, CompensationWrapsExactlyAtTheQmaxBoundary) {
-  // The longest reduction choose_qmax_int8 still gives q = 127. Raw u8
-  // accumulators (VNNI) reach 255 * 127 per tap and the XOR form's
-  // -128 * 127, so either the raw sum or the compensation term leaves
-  // int32 here although the true result fits; the modular arithmetic
-  // must bring every backend back to it exactly (and, under UBSan,
-  // without a signed overflow).
-  const std::int64_t len = 133144;
+  // The longest reduction choose_qmax_int8 still gives q = 127. Its true
+  // result reaches +-255 * 127 * 66311 = +-2147481735, within 1912 of
+  // the int32 limit; every backend's accumulation and compensation
+  // (raw u8 on VNNI, the XOR form elsewhere, both modulo 2^32) must
+  // land on it exactly (and, under UBSan, without a signed overflow).
+  const std::int64_t len = 66311;
   ASSERT_EQ(choose_qmax_int8(len), 127);
   const ConvParams p{.N = 1, .C = static_cast<int>(len), .H = 1, .W = 5,
                      .K = 18, .R = 1, .S = 1, .str = 1, .pad = 0};
@@ -344,7 +343,8 @@ TEST(Int8Conv, CompensationWrapsExactlyAtTheQmaxBoundary) {
     std::uint8_t u;
     int zp;
   };
-  for (const Case c : {Case{0, 127}, Case{255, 128}, Case{255, 255}}) {
+  for (const Case c : {Case{0, 127}, Case{255, 128}, Case{255, 255},
+                       Case{255, 0}, Case{0, 255}}) {
     const std::vector<std::uint8_t> in(
         static_cast<std::size_t>(p.input_elems()), c.u);
     std::vector<std::int8_t> flt(static_cast<std::size_t>(p.filter_elems()));
@@ -369,6 +369,49 @@ TEST(Int8Conv, CompensationWrapsExactlyAtTheQmaxBoundary) {
       // The s8 store adds the compensation in scalar code.
       EXPECT_EQ(run_mode(p, in, c.zp, flt, b, 1, nullptr),
                 run_mode(p, in, c.zp, flt, Int8Backend::kScalar, 1, nullptr));
+    }
+  }
+}
+
+TEST(Int8Conv, ReductionPastTheOldQmaxBoundaryStaysExact) {
+  // 100000 taps lie between the len * 255 * q boundary (66311) and the
+  // former len * q^2 one (133144), which still admitted q = 127 here:
+  // 255 * 127 * 100000 = 3.24e9 wraps int32. The derived q keeps the
+  // extreme true sums, u - zp = +-255 on every tap, exact.
+  const std::int64_t len = 100000;
+  const std::int64_t q = choose_qmax_int8(len);
+  ASSERT_LE(len * 127 * 127, std::numeric_limits<std::int32_t>::max());
+  ASSERT_GT(len * 255 * 127, std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(q, 84);
+  const ConvParams p{.N = 1, .C = static_cast<int>(len), .H = 1, .W = 5,
+                     .K = 18, .R = 1, .S = 1, .str = 1, .pad = 0};
+  std::vector<Int8Backend> backends = {Int8Backend::kScalar,
+                                       Int8Backend::kEmulated};
+  if (int8_preferred_backend() == Int8Backend::kDot) {
+    backends.push_back(Int8Backend::kDot);
+  }
+  std::vector<std::int8_t> flt(static_cast<std::size_t>(p.filter_elems()));
+  for (int k = 0; k < p.K; ++k) {
+    std::fill_n(flt.begin() + k * len, len,
+                static_cast<std::int8_t>(k % 2 == 0 ? q : -q));
+  }
+  for (const int u : {0, 255}) {
+    const int zp = 255 - u;
+    const std::vector<std::uint8_t> in(
+        static_cast<std::size_t>(p.input_elems()),
+        static_cast<std::uint8_t>(u));
+    for (const Int8Backend b : backends) {
+      Int8ConvOptions opt;
+      opt.backend = b;
+      const auto got = run_raw(p, in, zp, flt, opt);
+      for (int k = 0; k < p.K; ++k) {
+        const std::int64_t want = (u - zp) * (k % 2 == 0 ? q : -q) * len;
+        for (int w = 0; w < p.W; ++w) {
+          ASSERT_EQ(got[static_cast<std::size_t>(k * p.W + w)], want)
+              << "u=" << u << " k=" << k << " backend "
+              << int8_backend_name(b);
+        }
+      }
     }
   }
 }

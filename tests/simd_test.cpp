@@ -283,5 +283,38 @@ TEST(VecWide, FmaRoundsLikeThe128BitFma) {
   EXPECT_EQ(vget_lane<0>(z.template quarter<0>()), 0.0f);
 }
 
+TEST(VecWide, FirstLanesAndDeinterleaveTouchOnlyTheirFloats) {
+  // The depthwise pack reads and writes row ends with these: a partial
+  // load zero-fills the lanes past n, a partial store leaves every
+  // float past n as it was, and the de-interleave splits 2L floats by
+  // index parity.
+  using V = vec<kKernelLanes>;
+  constexpr int L = kKernelLanes;
+  float src[2 * L];
+  for (int i = 0; i < 2 * L; ++i) src[i] = 1.0f + i;
+  for (int n = -1; n <= L + 1; ++n) {
+    float got[L + 1];
+    V::load_first(src, n).store(got);
+    for (int i = 0; i < L; ++i) {
+      EXPECT_EQ(got[i], i < n ? src[i] : 0.0f) << "load n=" << n << " " << i;
+    }
+    for (float& x : got) x = -7.0f;
+    V::load(src).store_first(got, n);
+    for (int i = 0; i <= L; ++i) {
+      EXPECT_EQ(got[i], i < std::min(n, L) ? src[i] : -7.0f)
+          << "store n=" << n << " " << i;
+    }
+  }
+  V even, odd;
+  V::deinterleave(V::load(src), V::load(src + L), &even, &odd);
+  float e[L], o[L];
+  even.store(e);
+  odd.store(o);
+  for (int i = 0; i < L; ++i) {
+    EXPECT_EQ(e[i], src[2 * i]) << i;
+    EXPECT_EQ(o[i], src[2 * i + 1]) << i;
+  }
+}
+
 }  // namespace
 }  // namespace ndirect

@@ -736,6 +736,41 @@ TEST(EngineTelemetry, UnobservedRunsTakeTheNoCollectPath) {
             before + op.quantized_stats().tiles);
 }
 
+TEST(EngineTelemetry, DepthwiseConvOpFillsPerWorkerSnapshot) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  // DepthwiseConvOp::set_telemetry reaches the depthwise engine the way
+  // ConvOp's reaches the fp32 and int8 ones: one tile per (n, c) plane.
+  ASSERT_FALSE(trace_on());
+  const DepthwiseParams dw{.N = 2, .C = 6, .H = 12, .W = 12, .R = 3,
+                           .S = 3, .str = 2, .pad = 1};
+  ThreadPool pool(3);
+  DepthwiseConvOp op(dw, 48);
+  op.set_pool(&pool);
+  Tensor in = make_input_nchw(dw.N, dw.C, dw.H, dw.W);
+  fill_random(in, 49);
+  const auto planes = static_cast<std::uint64_t>(dw.N * dw.C);
+
+  // No sink: the run takes the no-collect path and publishes nothing.
+  const std::uint64_t before = published(Counter::kTilesClaimed);
+  (void)op.forward({&in});
+  EXPECT_EQ(published(Counter::kTilesClaimed), before);
+
+  TelemetrySnapshot snap;
+  op.set_telemetry(&snap);
+  (void)op.forward({&in});
+  ASSERT_EQ(snap.workers.size(), 3u);
+  EXPECT_EQ(snap.total(Counter::kTilesClaimed), planes);
+  EXPECT_GT(snap.phase_seconds(Counter::kMicrokernelNs), 0.0);
+  EXPECT_GT(snap.wall_seconds, 0.0);
+  EXPECT_EQ(published(Counter::kTilesClaimed), before + planes);
+
+  // Detaching the sink stops collection; the old snapshot is kept.
+  op.set_telemetry(nullptr);
+  (void)op.forward({&in});
+  EXPECT_EQ(snap.total(Counter::kTilesClaimed), planes);
+  EXPECT_EQ(published(Counter::kTilesClaimed), before + planes);
+}
+
 TEST(EngineTelemetry, TracedDepthwiseRunEmitsTileSpans) {
   if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TraceGuard guard;
