@@ -1,6 +1,11 @@
-// Fig. 5: quantification of the packing optimization — nDirect with the
-// fused (latency-hiding) packing micro-kernel vs sequential packing, on
-// the five VGG layers (Table 4 ids 24-28).
+// Fig. 5: how much time an overlap of packing and compute could hide, on
+// the five VGG layers (Table 4 ids 24-28). The paper fuses the
+// input-window packing into the first kv iteration's FMAs (§5.3) and
+// times that against sequential packing. This engine packs each window
+// once, ahead of its kv loop (DESIGN.md, deviation 8), so the bench
+// reports the bound instead: the pack phase's share of pack +
+// micro-kernel time, kPackNs / (kPackNs + kMicrokernelNs), read from the
+// runs' TelemetrySnapshot. No overlap can hide more than that share.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -13,12 +18,16 @@ using namespace ndirect::bench;
 
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
-  print_header(
-      "Fig. 5 [measured]: micro-kernel + packing overlap (VGG layers)");
+  print_header("Fig. 5 [measured]: pack phase share of phase time "
+               "(VGG layers)");
   std::printf("host, batch=%d, spatial/%d, threads=%d\n", cfg.batch,
               cfg.spatial_divisor, cfg.threads);
-  const std::vector<int> w = {6, 14, 14, 10};
-  print_row({"layer", "sequential", "fused(+pack)", "gain"}, w);
+  if (!kTelemetryCompiled || !telemetry_enabled()) {
+    std::printf("telemetry is off: no phase split to report\n");
+    return 0;
+  }
+  const std::vector<int> w = {6, 10, 10, 10, 11};
+  print_row({"layer", "GFLOPS", "pack ms", "micro ms", "pack share"}, w);
 
   for (int id = 24; id <= 28; ++id) {
     const ConvLayer layer = table4_layer(id, 1);
@@ -27,29 +36,32 @@ int main() {
     Tensor filter = make_filter_kcrs(p.K, p.C, p.R, p.S);
     fill_random(input, 1);
     fill_random(filter, 2);
-    const double flops = static_cast<double>(p.flops());
 
-    NdirectOptions seq;
-    seq.fuse_packing = false;
-    seq.threads = cfg.threads;
-    const NdirectConv conv_seq(p, seq);
-    const double g_seq = time_gflops(
-        [&] { (void)conv_seq.run(input, filter); }, flops, cfg.min_seconds);
-
-    NdirectOptions fus;
-    fus.fuse_packing = true;
-    fus.threads = cfg.threads;
-    const NdirectConv conv_fus(p, fus);
-    const double g_fus = time_gflops(
-        [&] { (void)conv_fus.run(input, filter); }, flops, cfg.min_seconds);
-
-    print_row({std::to_string(id), fmt(g_seq, 2), fmt(g_fus, 2),
-               fmt(g_fus / g_seq, 3) + "x"},
+    // The phase split is summed over every timed run.
+    TelemetrySnapshot run, total;
+    NdirectOptions opts;
+    opts.threads = cfg.threads;
+    opts.telemetry = &run;
+    const NdirectConv conv(p, opts);
+    int runs = 0;
+    const double gflops = time_gflops(
+        [&] {
+          (void)conv.run(input, filter);
+          total.merge(run);
+          ++runs;
+        },
+        static_cast<double>(p.flops()), cfg.min_seconds);
+    const double pack = total.phase_seconds(Counter::kPackNs);
+    const double micro = total.phase_seconds(Counter::kMicrokernelNs);
+    const double share = pack + micro > 0 ? pack / (pack + micro) : 0.0;
+    print_row({std::to_string(id), fmt(gflops, 2),
+               fmt(1e3 * pack / runs, 3), fmt(1e3 * micro / runs, 3),
+               fmt(100 * share, 1) + "%"},
               w);
   }
   std::printf(
-      "\npaper shape check: the overlap helps (gain >= ~1x); the paper "
-      "reports platform-dependent benefits (largest where the cache "
-      "replacement policy is LRU).\n");
+      "\npaper shape check: the paper's fused packing can hide at most "
+      "the pack share of each layer's phase time (EXPERIMENTS.md, "
+      "Fig. 5, records what the deleted fused kernels won).\n");
   return 0;
 }

@@ -93,7 +93,6 @@ void BM_NdirectMicrokernel3x3(benchmark::State& state) {
   a.R = R;
   a.S = S;
   a.str = 1;
-  a.packw = packw;
   a.out = out.data();
   a.out_k_stride = vw;
   a.out_w_stride = 1;
@@ -136,7 +135,6 @@ void BM_NdirectMicrokernelGeneric(benchmark::State& state) {
   a.R = R;
   a.S = S;
   a.str = 1;
-  a.packw = packw;
   a.out = out.data();
   a.out_k_stride = vw;
   a.out_w_stride = 1;

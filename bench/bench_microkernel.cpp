@@ -28,7 +28,11 @@ using namespace ndirect::bench;
 namespace {
 
 struct Shape {
-  const char* name;
+  // The JSON key is prefix_<vw>x<vk>suffix, with the block it runs at
+  // the build's lane count (12x8 names a 4-lane build's block, 12x16 a
+  // 16-lane build's).
+  const char* prefix;
+  const char* suffix;
   int vw, vk, S, str;  // the conv's register block and geometry
   int tc, R;           // channel depth and filter height of one tile
   int wn, kn;          // the ragged extent actually stored
@@ -44,14 +48,14 @@ struct Shape {
 // store, the store path is a first-order cost and the masked vector
 // stores show their full effect.
 const Shape kShapes[] = {
-    {"w_tail_12x8_s3_wn7", 12, 8, 3, 1, 64, 3, 7, 8},
-    {"k_tail_12x8_s3_kn5", 12, 8, 3, 1, 64, 3, 12, 5},
-    {"wk_tail_8x12_s1", 8, 12, 1, 1, 256, 1, 5, 10},
-    {"w_tail_20x4_s7_wn13", 20, 4, 7, 2, 3, 7, 13, 4},
-    {"k_tail_1x1_12x8_tc8", 12, 8, 1, 1, 8, 1, 12, 5},
-    {"w_tail_8x8_s3_tc8_wn6", 8, 8, 3, 1, 8, 3, 6, 8},
-    {"wk_tail_12x8_s3_tc8", 12, 8, 3, 1, 8, 3, 7, 5},
-    {"full_12x8_s3", 12, 8, 3, 1, 64, 3, 12, 8},
+    {"w_tail", "_s3_wn7", 12, 8, 3, 1, 64, 3, 7, 8},
+    {"k_tail", "_s3_kn5", 12, 8, 3, 1, 64, 3, 12, 5},
+    {"wk_tail", "_s1", 8, 12, 1, 1, 256, 1, 5, 10},
+    {"w_tail", "_s7_wn13", 20, 4, 7, 2, 3, 7, 13, 4},
+    {"k_tail_1x1", "_tc8", 12, 8, 1, 1, 8, 1, 12, 5},
+    {"w_tail", "_s3_tc8_wn6", 8, 8, 3, 1, 8, 3, 6, 8},
+    {"wk_tail", "_s3_tc8", 12, 8, 3, 1, 8, 3, 7, 5},
+    {"full", "_s3", 12, 8, 3, 1, 64, 3, 12, 8},
 };
 
 }  // namespace
@@ -66,9 +70,13 @@ int main() {
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
 
   for (Shape s : kShapes) {
-    // The shapes name 4-lane blocks; a wider build runs them with Vk
-    // rounded up to its lane count (12x8 is 12x16 at 16 lanes).
+    // The shapes list 4-lane blocks; a wider build runs them with Vk
+    // rounded up to its lane count (12x8 is 12x16 at 16 lanes), and
+    // names them by the block it runs.
     s.vk = (s.vk + kKernelLanes - 1) / kKernelLanes * kKernelLanes;
+    const std::string name = std::string(s.prefix) + "_" +
+                             std::to_string(s.vw) + "x" +
+                             std::to_string(s.vk) + s.suffix;
     // The engine's tail rounding: the smallest multiple-of-4 block
     // covering wn (capped at the conv's vw).
     const int vw_used = std::min(s.vw, (s.wn + 3) / 4 * 4);
@@ -91,7 +99,6 @@ int main() {
     a.R = s.R;
     a.S = s.S;
     a.str = s.str;
-    a.packw = packw;
     a.out = out.data();
     a.out_k_stride = s.vw;
     a.out_w_stride = 1;
@@ -118,14 +125,14 @@ int main() {
                   s.S, s.str);
     const char* cls = fn == nullptr ? "generic"
                                     : kernel_class_name(kres.cls);
-    print_row({s.name, kernel, cls, fmt(gflops, 3)}, {22, 12, 12, 9});
+    print_row({name, kernel, cls, fmt(gflops, 3)}, {22, 12, 12, 9});
 
     char leaf[160];
     std::snprintf(leaf, sizeof leaf,
                   "{\"kernel\": \"%s\", \"class\": \"%s\", \"tile\": "
                   "\"wn%d kn%d\", \"gflops\": %.3f}",
                   kernel, cls, s.wn, s.kn, gflops);
-    report.add_raw(s.name, leaf);
+    report.add_raw(name, leaf);
   }
 
   report.write();

@@ -11,12 +11,13 @@ first as compile time. This script fails CI when
      holds one kernel width's ~56 instantiations; the budget is several
      times the measured ~15 s so only real blow-ups trip it), or
   2. a policy object, read back with objdump, defines any local function
-     or has a policy_*_kernel that calls anything but memcpy/memset. An
-     outlined helper (GCC's local constprop clone of a tap-loop lambda,
-     say) keeps the accumulator tile in memory and spills every FMA, so
-     a kernel must compile to one flat body, or
+     or has a policy_*_kernel that calls anything at all. An outlined
+     helper (GCC's local constprop clone of a tap-loop lambda, say) keeps
+     the accumulator tile in memory and spills every FMA, and a library
+     call (a copy, say) makes the kernel save its live accumulators
+     around it, so a kernel must compile to one flat body, or
   3. the built registries do not hold exactly the kernel entries and
-     runtime (vw, vk) blocks the register budget admits at the built
+     (vw, vk) blocks the register budget admits at the built
      lane count — i.e. a refactor silently dropped specializations and
      convs would fall back to the generic kernel. The int8 registry is
      gated the same way, per compiled backend: the 4-lane emulated grid
@@ -43,8 +44,7 @@ first and last multiply-accumulate (an FMA, or in the int8 kernels a
 VPDPBUSD, SDOT or the emulated ladder's PMADDWD) — the inner loop,
 where a spill costs once per (c, r) row. (The tile store after the
 loop parks the accumulators on the stack once per tile, which does not
-count.) In the fused kernels these are the accumulators saved around
-pack_row's memcpy/memset calls.
+count.)
 
 Usage:
   check_kernel_budget.py [--source .] [--build build]
@@ -98,7 +98,7 @@ def block_feasible(vw, vk, S, lanes, regs, max_vw, max_vk):
 
 
 def expected_registry(lanes, regs, max_vw, max_vk):
-    """(entries, runtime blocks) the budget admits at this width."""
+    """(entries, blocks) the budget admits at this width."""
     def blocks(S):
         return sum(block_feasible(vw, vk, S, lanes, regs, max_vw, max_vk)
                    for vw in range(4, max_vw + 1, 4)
@@ -119,9 +119,9 @@ def expected_int8_entries(dot, dot_lanes, max_vw, max_vk):
             for vk in range(lanes, max_vk + 1, lanes))
     return entries(4) + (entries(dot_lanes) if dot else 0)
 
-# Callees a policy kernel may reach: the fused kernels' pack_row copies
-# and zero-fills input rows.
-ALLOWED_CALLEES = {"memcpy", "memset"}
+# Callees a policy kernel may reach: none. The engine packs a window
+# before its kernels run (pack_window), so no kernel copies anything.
+ALLOWED_CALLEES = set()
 KERNEL_RE = re.compile(r"policy_\w*kernel<")
 FUNC_RE = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 BRANCH_RE = re.compile(r"\s(call|callq|jmp|jmpq|bl|blr|b)\s+(.*)$")
@@ -139,8 +139,8 @@ MAC_RE = re.compile(r"\s(?:vfn?m(?:add|sub)\d{3}ps|fmla|vpdpbusd|sdot|"
 
 
 def kernel_family(func):
-    """'compute' or 'fused', and 'interior' or 'edge', of an fp32
-    kernel; 'int8/<backend>' of an int8 one."""
+    """'interior' or 'edge' of an fp32 kernel; 'int8/<backend>' of an
+    int8 one."""
     if "i8_policy_kernel<" in func:
         backend = {"(ndirect::Int8Backend)1": "emulated",
                    "(ndirect::Int8Backend)2": "dot"}
@@ -148,9 +148,7 @@ def kernel_family(func):
             if key in func:
                 return f"int8/{name}"
         return "int8"
-    family = "fused" if "fused_kernel<" in func else "compute"
-    tail = "edge" if "TailMode)1" in func or "kEdge" in func else "interior"
-    return f"{family}/{tail}"
+    return "edge" if "TailMode)1" in func or "kEdge" in func else "interior"
 
 
 def count_mac_span_spills(body, spills, func):
@@ -237,8 +235,8 @@ def main():
                     help="override the entry count derived from the "
                          "built lane count (as a lower bound)")
     ap.add_argument("--min-blocks", type=int, default=None,
-                    help="override the runtime block count derived from "
-                         "the built lane count (as a lower bound)")
+                    help="override the block count derived from the "
+                         "built lane count (as a lower bound)")
     ap.add_argument("--cxx", default=os.environ.get("CXX", "g++"))
     ap.add_argument("--flags", default="-O3 -march=native -std=c++20")
     ap.add_argument("--objdump", default="objdump")

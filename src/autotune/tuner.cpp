@@ -29,7 +29,6 @@ NdirectOptions schedule_to_options(const Schedule& s, int threads,
   o.force_mapping = {s.ptn, std::max(1, threads / s.ptn)};
   o.aot_filter = s.aot_filter;
   o.generic_kernel_only = true;
-  o.fuse_packing = false;  // generated code has no fused-packing trick
   o.threads = threads;
   o.pool = pool;
   return o;

@@ -182,17 +182,17 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
   // Kernel resolution, once per conv rather than per tile: the fully
   // unrolled policy pair when this (block, S, stride) is instantiated —
   // interior store for full tiles, masked-edge store for ragged ones —
-  // else the runtime-S specialized block, else the generic kernel
-  // (every generic invocation is counted in Counter::kGenericFallback
-  // so un-specialized convs show up in telemetry and ConvReport).
+  // else the generic kernel (every generic invocation is counted in
+  // Counter::kGenericFallback so such convs show up in telemetry and
+  // ConvReport).
   //
   // Ragged W tiles run a narrower block (wn rounded up to a vector
   // multiple) instead of the full vw tile; computing the full tile
   // would waste (vw - wn)/vw of its arithmetic, which is decisive when
   // Q is small (e.g. Q=14 under vw=12 wastes 10/24) — so the W tail
   // gets its own resolution. A narrower block never loses feasibility
-  // (Eq. 3 cost is monotone in vw), so the tail resolves at least as
-  // specialized as the main block.
+  // (Eq. 3 cost is monotone in vw), so the tail resolves to the
+  // registry whenever the main block does.
   KernelResolution main_k, tail_k;
   const int q_tail = Q % vw;
   const int vw_tail = q_tail == 0 ? 0 : std::min(vw, (q_tail + 3) / 4 * 4);
@@ -307,7 +307,6 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
             a.R = p.R;
             a.S = p.S;
             a.str = kstr;
-            a.packw = plan.packw;
             a.out_k_stride = ls.out_k;
             a.out_w_stride = ls.out_w;
             a.wn = wn;
@@ -334,17 +333,14 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
                 compute_kernel_generic(a, full_w ? vw : wn, vk);
               }
             };
-            const auto call_fused = [&] {
-              const FusedKernelFn fn = a.wn == rvw && a.kn == vk
-                                           ? kres.interior_fused
-                                           : kres.edge_fused;
-              if (fn != nullptr) {
-                fn(a, g);
-              } else {
-                w.count_generic();
-                fused_kernel_generic(a, g, full_w ? vw : wn, vk);
-              }
-            };
+
+            // Pack the window once, ahead of loop L7, so every kv
+            // block's kernel reads it from L1 and no copy runs inside an
+            // FMA loop (a direct row has nothing to pack).
+            if (!direct_row) {
+              w.timed_pack(
+                  [&] { pack_window(pack, g, tcn, p.R, plan.packw); });
+            }
 
             for (std::int64_t b = 0; b < kbn; ++b) {         // loop L7
               const std::int64_t kv = (kb0 + b) * vk;
@@ -359,21 +355,7 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
               a.epi.residual = last_c && epi.residual != nullptr
                                    ? epi.residual + out_off
                                    : nullptr;
-              if (b == 0 && !direct_row && opts.fuse_packing) {
-                // First kv block: fused mode hides the input-window
-                // packing behind this block's FMAs (its cost lands in
-                // micro-kernel time, the attribution the Fig. 5
-                // ablation measures).
-                w.timed(Counter::kMicrokernelNs, call_fused);
-              } else {
-                // Sequential packing: the first kv block packs the
-                // window up front (a direct row has nothing to pack).
-                if (b == 0 && !direct_row)
-                  w.timed_pack([&] {
-                    pack_window(pack, g, tcn, p.R, plan.packw);
-                  });
-                w.timed(Counter::kMicrokernelNs, call_compute);
-              }
+              w.timed(Counter::kMicrokernelNs, call_compute);
             }
           }
         }

@@ -83,7 +83,8 @@ ExecResult TileRun::finish() {
   }
   if (opts_.phase_timer != nullptr) {
     // The historical phase names, one add() per phase per run, and only
-    // for phases that actually ran — fused packing reports no "packing".
+    // for phases that actually ran — a run whose windows are all read in
+    // place (1x1 stride-1) reports no "packing".
     const double transform = snap.phase_seconds(Counter::kTransformNs);
     const double packing = snap.phase_seconds(Counter::kPackNs);
     const double micro = snap.phase_seconds(Counter::kMicrokernelNs);

@@ -10,12 +10,10 @@
 //
 // The *packing micro-kernel* gathers the Tc x R x packw input window
 // (packw = (Vw-1)*str + S) into the linear buffer, inserting zeros where
-// the window hangs over the padded border.
-//
-// The *fused* variant performs the packing stores interleaved with the
-// first kv iteration's FMAs (Section 5.3): each gathered row is stored
-// to the buffer and immediately consumed, so the packing latency hides
-// behind the compute and later kv iterations hit the L1-resident buffer.
+// the window hangs over the padded border. The engine runs it once per
+// window, in the window's first kv iteration and before that iteration's
+// compute kernel, so no copy sits inside an FMA loop (the paper's §5.3
+// interleaves the two; DESIGN.md deviation 8 says why this does not).
 //
 // Kernel instantiations come from a compile-time *policy registry*
 // rather than hand-enumerated macro lists: a policy is the tuple
@@ -78,7 +76,6 @@ struct MicroArgs {
   std::int64_t f_c_stride = 0;  ///< stride between channels in ftile
   int tc = 0;                   ///< channels in this C tile
   int R = 0, S = 0, str = 1;
-  int packw = 0;
   float* out = nullptr;         ///< output element (w=0, k=0) of the tile
   std::int64_t out_k_stride = 0;  ///< NCHW: P*Q,  NHWC: 1
   std::int64_t out_w_stride = 0;  ///< NCHW: 1,    NHWC: K
@@ -99,7 +96,6 @@ inline constexpr int kMaxVw = 24;
 inline constexpr int kMaxVk = 24;
 
 using ComputeKernelFn = void (*)(const MicroArgs&);
-using FusedKernelFn = void (*)(const MicroArgs&, const PackGeometry&);
 
 /// The register budget the policy registry is generated from, for a
 /// kernel of `lanes` fp32 lanes on `regs` vector registers. Vk is a
@@ -132,7 +128,7 @@ enum class TailMode : std::uint8_t {
 };
 
 /// One instantiated policy: the (Vw, Vk, S, stride, tail-mode) tuple and
-/// the generated compute / fused-pack-compute entry points.
+/// the generated compute kernel.
 struct KernelEntry {
   int vw = 0;
   int vk = 0;
@@ -140,7 +136,6 @@ struct KernelEntry {
   int str = 0;
   TailMode tail = TailMode::kInterior;
   ComputeKernelFn compute = nullptr;
-  FusedKernelFn fused = nullptr;
 };
 
 /// Every instantiated policy: each feasible block at kKernelLanes x S in
@@ -149,16 +144,16 @@ struct KernelEntry {
 const std::vector<KernelEntry>& kernel_registry();
 
 /// The distinct (vw, vk) blocks present in the registry at kKernelLanes
-/// (the S = 1 feasible set, the superset). The auto-tuner does not
-/// search these: its schedules run on the 128-bit generic kernel, over
-/// the 4-lane Eq. 3 set (autotune/space.cpp).
+/// (the S = 1 feasible set, the superset: the register cost only grows
+/// with S). The auto-tuner does not search these: its schedules run on
+/// the 128-bit generic kernel, over the 4-lane Eq. 3 set
+/// (autotune/space.cpp).
 const std::vector<RegisterBlock>& microkernel_blocks();
 
 /// How a convolution's (block, S, stride) resolved against the registry.
 enum class KernelClass : std::uint8_t {
-  kUnrolled,     ///< fully unrolled policy kernels (interior + edge)
-  kSpecialized,  ///< compile-time block, runtime S/stride loops
-  kGeneric,      ///< runtime-loop fallback — counted in telemetry
+  kUnrolled,  ///< fully unrolled policy kernels (interior + edge)
+  kGeneric,   ///< runtime-loop fallback — counted in telemetry
 };
 
 const char* kernel_class_name(KernelClass cls);
@@ -166,15 +161,12 @@ const char* kernel_class_name(KernelClass cls);
 /// Per-conv kernel resolution: the engine calls this once per (block,
 /// S, stride) — not per tile — and dispatches tiles to `interior` when
 /// the tile is full (wn == vw, kn == vk) and to `edge` otherwise. For
-/// kSpecialized both slots hold the same runtime-S kernel (it branches
-/// internally); for kGeneric all slots are nullptr and the caller must
-/// use compute_kernel_generic (and count the fallback). `reason` says
-/// why the resolution fell short of kUnrolled ("" when it didn't).
+/// kGeneric both slots are nullptr and the caller must use
+/// compute_kernel_generic (and count the fallback). `reason` says why
+/// the resolution fell short of kUnrolled ("" when it didn't).
 struct KernelResolution {
   ComputeKernelFn interior = nullptr;
   ComputeKernelFn edge = nullptr;
-  FusedKernelFn interior_fused = nullptr;
-  FusedKernelFn edge_fused = nullptr;
   KernelClass cls = KernelClass::kGeneric;
   const char* reason = "";
 };
@@ -193,26 +185,16 @@ KernelResolution resolve_kernel(int vw, int vk, int S, int str);
 /// the buffer with that slack).
 ComputeKernelFn find_unrolled_kernel(int vw, int vk, int S, int str);
 
-/// Specialized (compile-time Vw/Vk, runtime S/stride) main micro-kernel
-/// for the given block, or nullptr when no specialization is
-/// instantiated.
-ComputeKernelFn find_compute_kernel(int vw, int vk);
-
-/// Specialized fused pack+compute kernel, or nullptr.
-FusedKernelFn find_fused_kernel(int vw, int vk);
-
-/// Runtime-parameterized 128-bit kernels (any vw <= kMaxVw,
-/// vk <= kMaxVk, vk % 4 == 0). Last-resort fallback for blocks outside
-/// the registry (scalar ragged stores) and the parity reference every
-/// registry kernel, at any width, is compared against bitwise; every
-/// invocation the engine makes of these is counted in
+/// Runtime-parameterized 128-bit kernel (any vw <= kMaxVw,
+/// vk <= kMaxVk, vk % 4 == 0). Last-resort fallback for every (block,
+/// S, stride) outside the registry (scalar ragged stores) and the parity
+/// reference every registry kernel, at any width, is compared against
+/// bitwise; every invocation the engine makes of it is counted in
 /// Counter::kGenericFallback.
 void compute_kernel_generic(const MicroArgs& args, int vw, int vk);
-void fused_kernel_generic(const MicroArgs& args, const PackGeometry& geom,
-                          int vw, int vk);
 
-/// The standalone packing micro-kernel (sequential-packing mode and the
-/// non-first C tiles of fused mode).
+/// The packing micro-kernel: gathers the tc x R x packw window `geom`
+/// describes into `pack`, laid out [tc][R][packw].
 void pack_window(float* pack, const PackGeometry& geom, int tc, int R,
                  int packw);
 

@@ -2,14 +2,14 @@
 //
 // A *policy* is the compile-time tuple (L, Vw, Vkv, S, stride,
 // tail-mode): L fp32 lanes per vector (simd/vec.h), Vkv = Vk / L filter
-// vectors per tap. policy_compute_kernel / policy_fused_kernel expand
-// the fully-unrolled Algorithm 3 body for one policy — every (w, s) tap
-// one broadcast FMA into the register-resident Vw x Vk accumulator
-// tile, in the tap order the target's register budget allows
-// (input_stationary_taps) — and finish with either the branch-free
-// interior store or the masked partial-lane edge store. Both stores are
-// 128-bit: the wide accumulators are split into quarters first, so one
-// store path (and one ConvEpilogue) serves every width.
+// vectors per tap. policy_compute_kernel expands the fully-unrolled
+// Algorithm 3 body for one policy — every (w, s) tap one broadcast FMA
+// into the register-resident Vw x Vk accumulator tile, in the tap order
+// the target's register budget allows (input_stationary_taps) — and
+// finishes with either the branch-free interior store or the masked
+// partial-lane edge store. Both stores are 128-bit: the wide
+// accumulators are split into quarters first, so one store path (and
+// one ConvEpilogue) serves every width.
 // build_policy_table<S>() folds over the whole (Vw, Vk) grid at compile
 // time, keeping exactly the blocks kernel_block_feasible admits at
 // kKernelLanes, and emits a constexpr KernelEntry table.
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <array>
-#include <cstring>
 #include <utility>
 
 #include "core/microkernel.h"
@@ -52,8 +51,8 @@
 // tile compete for registers, and the wide registries admit only blocks
 // whose tile and S filter sets fit (broadcast_register_cost). The
 // kernel-matrix CI job checks (a) on the compiled objects: no local
-// function, no call but memcpy/memset (pack_row's, in the fused
-// kernels).
+// function and no call at all — the window is packed before a kernel
+// runs (pack_window), never inside its FMA loop.
 #if defined(__GNUC__) || defined(__clang__)
 #define NDIRECT_ALWAYS_INLINE inline __attribute__((always_inline))
 #define NDIRECT_FLATTEN __attribute__((flatten))
@@ -64,35 +63,6 @@
 
 namespace ndirect {
 namespace detail {
-
-// Gather one (c, ih) input row segment of `packw` elements into `dst`,
-// zero-filling where the window hangs over the (padded) border. The
-// segment is contiguous in the input row for any stride, because the
-// micro-kernel indexes the buffer as brow[w*str + s].
-NDIRECT_ALWAYS_INLINE void pack_row(float* dst, const PackGeometry& g,
-                                    int c, int ih, int packw) {
-  if (ih < 0 || ih >= g.H) {
-    std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(packw));
-    return;
-  }
-  const float* row = g.src + c * g.chan_stride +
-                     static_cast<std::int64_t>(ih) * g.row_stride;
-  int t = 0;
-  while (t < packw && g.iw0 + t * g.iw_step < 0) dst[t++] = 0.0f;
-  int t_hi = packw;
-  while (t_hi > t && g.iw0 + (t_hi - 1) * g.iw_step >= g.W) --t_hi;
-  if (g.col_stride == 1 && g.iw_step == 1) {
-    if (t_hi > t) {
-      std::memcpy(dst + t, row + g.iw0 + t,
-                  sizeof(float) * static_cast<std::size_t>(t_hi - t));
-    }
-  } else {
-    for (int u = t; u < t_hi; ++u) {
-      dst[u] = row[(g.iw0 + u * g.iw_step) * g.col_stride];
-    }
-  }
-  for (int u = t_hi; u < packw; ++u) dst[u] = 0.0f;
-}
 
 // ---------------------------------------------------------------------------
 // Tile stores
@@ -343,30 +313,6 @@ NDIRECT_FLATTEN void policy_compute_kernel(const MicroArgs& a) {
   store_wide_tile<L, VW, VKV, TM == TailMode::kInterior>(a, acc);
 }
 
-// Fused packing + compute (Section 5.3): every gathered row is stored to
-// the pack buffer and consumed by FMAs in the same pass, so packing
-// stores retire behind the FMAs and later kv iterations find the whole
-// window L1-resident.
-template <int L, int VW, int VKV, int S, int STR, TailMode TM>
-NDIRECT_FLATTEN void policy_fused_kernel(const MicroArgs& a,
-                                         const PackGeometry& g) {
-  vec<L> acc[VW][VKV];
-  for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vec<L>::zero();
-  }
-  for (int c = 0; c < a.tc; ++c) {
-    float* brows = a.pack + c * a.pack_c_stride;
-    const float* fc = a.ftile + c * a.f_c_stride;
-    for (int r = 0; r < a.R; ++r) {
-      float* brow = brows + r * a.pack_r_stride;
-      pack_row(brow, g, c, g.ih0 + r, a.packw);
-      cr_compute_unrolled<L, VW, VKV, S, STR>(
-          acc, brow, fc + static_cast<std::int64_t>(r) * S * VKV * L);
-    }
-  }
-  store_wide_tile<L, VW, VKV, TM == TailMode::kInterior>(a, acc);
-}
-
 // ---------------------------------------------------------------------------
 // Constexpr registry builder
 // ---------------------------------------------------------------------------
@@ -391,10 +337,8 @@ constexpr int policy_block_count(int S) {
 template <int S, int VW, int VK, TailMode TM, int STR, typename Table>
 constexpr void emit_policy(Table& table, std::size_t& i) {
   constexpr int L = kKernelLanes;
-  table[i++] =
-      KernelEntry{VW, VK, S, STR, TM,
-                  &policy_compute_kernel<L, VW, VK / L, S, STR, TM>,
-                  &policy_fused_kernel<L, VW, VK / L, S, STR, TM>};
+  table[i++] = KernelEntry{VW, VK, S, STR, TM,
+                           &policy_compute_kernel<L, VW, VK / L, S, STR, TM>};
 }
 
 template <int S, int VW, int VK, typename Table>

@@ -4,8 +4,9 @@
 // multi-cores that keeps the framework NCHW/NHWC activation layouts,
 // repacks only the (small) filter tensor on the fly, and reaches high
 // utilization through an FAI-maximal register-blocked micro-kernel,
-// cache-derived loop tiling, latency-hiding fused input packing, and an
-// analytically derived PTn x PTk thread mapping.
+// cache-derived loop tiling, an L1-resident packed input window reused
+// across output-channel blocks, and an analytically derived PTn x PTk
+// thread mapping.
 //
 // Typical use:
 //
@@ -62,10 +63,6 @@ enum class SchedulePolicy {
 };
 
 struct NdirectOptions {
-  /// Hide packing behind the first kv iteration (Section 5.3). Turning
-  /// this off gives the sequential-packing baseline of Fig. 5.
-  bool fuse_packing = true;
-
   /// Transform the whole filter ahead of time (through pack_filter) on
   /// every run instead of per tile inside loop L4 (ablation; the paper's
   /// nDirect transforms on the fly).

@@ -153,12 +153,6 @@ ConvReport build_conv_report(const NdirectConv& conv,
         "kernel (" + r.kernel_reason +
         "): those tiles pay runtime loops and scalar stores — add the "
         "block to the policy registry (core/microkernel_generator.h)");
-  } else if (r.kernel_class == "specialized") {
-    r.diagnoses.push_back(
-        "conv runs un-unrolled (" + r.kernel_reason +
-        "): tiles use the runtime-S specialized kernel; instantiating "
-        "this (S, stride) in the policy registry would unlock the "
-        "fully unrolled Algorithm 3 form");
   }
   if (r.model_ratio > 0 && r.model_ratio < 0.5) {
     r.diagnoses.push_back(
@@ -203,21 +197,12 @@ ConvReport build_conv_report(const NdirectConv& conv,
           static_cast<double>(phase_l1d);
       const double time_share =
           telemetry.phase_fraction(Counter::kPackNs);
-      if (conv.options().fuse_packing && r.l1d_mpki > 20.0) {
-        r.diagnoses.push_back(
-            "packing not hidden: the fused phase misses L1D at " +
-            fmt1(r.l1d_mpki) +
-            " MPKI — the pack stream is evicting the register tile's "
-            "operands instead of riding behind the FMAs (Tc too large "
-            "for L1, or the window gather defeats the prefetcher)");
-      } else if (!conv.options().fuse_packing && miss_share > 0.2 &&
-                 miss_share > 2.0 * time_share) {
+      if (miss_share > 0.2 && miss_share > 2.0 * time_share) {
         r.diagnoses.push_back(
             "pack phase takes " + fmt1(100 * time_share) +
             "% of phase time but " + fmt1(100 * miss_share) +
             "% of L1D misses: the Tc x packw pack buffer overflows L1 "
-            "on this host — a smaller Tc (or fused packing) would keep "
-            "the window resident");
+            "on this host — a smaller Tc would keep the window resident");
       }
     }
   }

@@ -53,8 +53,8 @@ struct ConvReport {
   double ptn_star = 0;     ///< Eq. 6 continuous optimum PTn*
 
   // Kernel resolution (Section 5): which micro-kernel class the conv's
-  // (block, S, stride) resolved to — "unrolled" (policy registry),
-  // "specialized" (runtime-S loops), or "generic" — with the resolver's
+  // (block, S, stride) resolved to — "unrolled" (policy registry) or
+  // "generic" (runtime loops) — with the resolver's
   // reason when it fell short of unrolled, plus the telemetry count of
   // tile calls that used the generic runtime-loop kernel.
   std::string kernel_class;

@@ -36,15 +36,16 @@ enum class Counter : int {
   kGlobalSteals,       ///< pass-2 steals (Manhattan-distance scan)
   kPackNs,             ///< input-window packing time
   kTransformNs,        ///< on-the-fly filter transform time
-  kMicrokernelNs,      ///< micro-kernel (and fused-pack) time
+  kMicrokernelNs,      ///< micro-kernel time
   kEpilogueNs,         ///< unfused epilogue passes (reserved: the
                        ///< Ndirect store epilogue is folded into the
                        ///< micro-kernel and costs no separate phase)
   kGenericFallback,    ///< micro-kernel calls that fell back to the
-                       ///< runtime-loop generic kernel (un-specialized
-                       ///< block — the tuning-gap signal; 0 when every
-                       ///< tile ran a registry kernel). The int8 engine
-                       ///< counts one per window tile.
+                       ///< runtime-loop generic kernel (a block, S or
+                       ///< stride outside the registry — the tuning-gap
+                       ///< signal; 0 when every tile ran a registry
+                       ///< kernel). The int8 engine counts one per
+                       ///< window tile.
   // Hardware (PMU) counters, filled from per-thread perf_event_open
   // group deltas (runtime/perf_counters.h) when NDIRECT_PMU is on and
   // the host allows it; all zero otherwise. The first five mirror

@@ -59,14 +59,13 @@ TEST_P(RandomShapeFuzz, AllModesMatchNaive) {
   fill_random(f, rng());
   const Tensor ref = naive_conv_nchw(in, f, p);
 
-  // Default plan, fused packing.
+  // Default plan.
   EXPECT_TRUE(allclose(ndirect_conv(in, f, p), ref));
 
-  // Sequential packing + ahead-of-time filter.
-  NdirectOptions seq;
-  seq.fuse_packing = false;
-  seq.aot_filter = true;
-  EXPECT_TRUE(allclose(ndirect_conv(in, f, p, seq), ref));
+  // Ahead-of-time filter.
+  NdirectOptions aot;
+  aot.aot_filter = true;
+  EXPECT_TRUE(allclose(ndirect_conv(in, f, p, aot), ref));
 
   // Random forced register block among the registry's blocks at the
   // build's width that fit the budget at this S.

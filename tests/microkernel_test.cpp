@@ -1,7 +1,7 @@
-// Direct unit tests for the nDirect micro-kernels: each kernel variant
-// (generic, runtime-S specialized, fully unrolled, fused) against a
-// scalar tile oracle, plus store-path behaviours (NCHW transpose, NHWC
-// direct, ragged, accumulate, epilogue). The registry kernels run at the
+// Direct unit tests for the nDirect micro-kernels: the generic and the
+// fully unrolled policy kernels against a scalar tile oracle, plus
+// store-path behaviours (NCHW transpose, NHWC direct, ragged,
+// accumulate, epilogue). The registry kernels run at the
 // build's lane count (kKernelLanes); the tests use the blocks the
 // planner solves at that width, and the parity sweeps compare every
 // registry kernel bitwise against the 128-bit generic kernel.
@@ -16,12 +16,8 @@
 #include <vector>
 
 #include "core/fai.h"
-
-#include "core/filter_transform.h"
 #include "core/microkernel.h"
 #include "core/microkernel_generator.h"
-#include "tensor/rng.h"
-#include "tensor/tensor.h"
 
 namespace ndirect {
 namespace {
@@ -80,7 +76,6 @@ TileData make_tile(const TileProblem& t, unsigned seed) {
   a.R = t.R;
   a.S = t.S;
   a.str = t.str;
-  a.packw = t.packw();
   a.out = d.out.data();
   // Store as [k][w] planes of width vw: out_k_stride = vw, w stride 1
   // (the NCHW shape with P*Q == vw).
@@ -122,23 +117,16 @@ TEST(Microkernel, GenericMatchesOracleAcrossShapes) {
 // paper's), 24x16 at 16 lanes.
 RegisterBlock planned_3x3() { return solve_kernel_block(3); }
 
-TEST(Microkernel, RuntimeSpecializedMatchesGeneric) {
-  const RegisterBlock b = planned_3x3();
-  const TileProblem t{b.vw, b.vk, 6, 3, 3, 1};
-  TileData d1 = make_tile(t, 10);
-  TileData d2 = make_tile(t, 10);
-  ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
-  ASSERT_NE(fn, nullptr);
-  fn(d1.args);
-  compute_kernel_generic(d2.args, t.vw, t.vk);
-  for (std::size_t i = 0; i < d1.out.size(); ++i) {
-    ASSERT_NEAR(d1.out[i], d2.out[i], 1e-5f) << i;
-  }
+// The registry's policy kernel for a tile: the interior store when the
+// tile fills its block, the masked-edge store otherwise.
+ComputeKernelFn policy_kernel(const TileProblem& t, const MicroArgs& a) {
+  const KernelResolution r = resolve_kernel(t.vw, t.vk, t.S, t.str);
+  return a.wn == t.vw && a.kn == t.vk ? r.interior : r.edge;
 }
 
 TEST(Microkernel, UnrolledMatchesOracleForEveryInstantiation) {
   // The planner's block for every unrolled (S, str), and the narrowest
-  // and widest runtime blocks at S = 1.
+  // and widest registry blocks at S = 1.
   struct Inst {
     int vw, vk, S, str;
   };
@@ -169,7 +157,7 @@ TEST(Microkernel, AccumulateAddsToExistingOutput) {
   TileData d = make_tile(t, 30);
   for (float& v : d.out) v = 2.5f;
   d.args.accumulate = true;
-  ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
+  ComputeKernelFn fn = policy_kernel(t, d.args);
   ASSERT_NE(fn, nullptr);
   fn(d.args);
   const std::vector<float> want = oracle(t, d.pack, d.ftile);
@@ -189,7 +177,7 @@ TEST(Microkernel, RaggedStoreTouchesOnlyValidRegion) {
   for (float& v : d.out) v = -99.0f;
   d.args.wn = 7;
   d.args.kn = 5;
-  ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
+  ComputeKernelFn fn = policy_kernel(t, d.args);
   ASSERT_NE(fn, nullptr);
   fn(d.args);
   const std::vector<float> want = oracle(t, d.pack, d.ftile);
@@ -212,7 +200,7 @@ TEST(Microkernel, NhwcStoreLayout) {
   TileData d = make_tile(t, 32);
   d.args.out_k_stride = 1;
   d.args.out_w_stride = t.vk;
-  ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
+  ComputeKernelFn fn = policy_kernel(t, d.args);
   ASSERT_NE(fn, nullptr);
   fn(d.args);
   const std::vector<float> want = oracle(t, d.pack, d.ftile);
@@ -234,7 +222,7 @@ TEST(Microkernel, EpilogueBiasAndReluInStorePath) {
   }
   d.args.epi.bias = bias.data();
   d.args.epi.relu = true;
-  ComputeKernelFn fn = find_compute_kernel(t.vw, t.vk);
+  ComputeKernelFn fn = policy_kernel(t, d.args);
   ASSERT_NE(fn, nullptr);
   fn(d.args);
   const std::vector<float> want = oracle(t, d.pack, d.ftile);
@@ -249,55 +237,10 @@ TEST(Microkernel, EpilogueBiasAndReluInStorePath) {
   }
 }
 
-TEST(Microkernel, FusedKernelPacksAndComputes) {
-  // The fused kernel must (a) produce the same tile as pack+compute and
-  // (b) leave the pack buffer filled with the gathered window.
-  const int C = 5, H = 9, W = 11, R = 3, S = 3;
-  Tensor image = make_input_nchw(1, C, H, W);
-  fill_random(image, 40);
-  const RegisterBlock b = planned_3x3();
-  const TileProblem t{b.vw, b.vk, C, R, S, 1};
-  TileData d = make_tile(t, 41);
-
-  PackGeometry g;
-  g.src = image.data();
-  g.chan_stride = H * W;
-  g.row_stride = W;
-  g.col_stride = 1;
-  g.H = H;
-  g.W = W;
-  g.ih0 = -1;  // window overlaps the top padding
-  g.iw0 = -1;
-
-  FusedKernelFn fused = find_fused_kernel(t.vw, t.vk);
-  ASSERT_NE(fused, nullptr);
-  fused(d.args, g);
-
-  // Reference: standalone pack, then oracle on the packed buffer.
-  std::vector<float> ref_pack(
-      static_cast<std::size_t>(C) * R * t.packw() + 4);
-  pack_window(ref_pack.data(), g, C, R, t.packw());
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(C) * R * t.packw(); ++i) {
-    ASSERT_EQ(d.pack[i], ref_pack[i]) << "pack index " << i;
-  }
-  const std::vector<float> want = oracle(t, d.pack, d.ftile);
-  expect_matches_oracle(t, d, want);
-}
-
 TEST(Microkernel, DispatchTableConsistency) {
-  // Every compute specialization has a fused sibling and vice versa.
-  for (int vw = 4; vw <= 24; vw += 4) {
-    for (int vk = 4; vk <= 24; vk += 4) {
-      EXPECT_EQ(find_compute_kernel(vw, vk) != nullptr,
-                find_fused_kernel(vw, vk) != nullptr)
-          << vw << "x" << vk;
-    }
-  }
-  // The planner's blocks are specialized and unrolled.
+  // The planner's blocks are unrolled.
   for (int S : {1, 3, 5, 7}) {
     const RegisterBlock b = solve_kernel_block(S);
-    EXPECT_NE(find_compute_kernel(b.vw, b.vk), nullptr) << "S" << S;
     EXPECT_NE(find_unrolled_kernel(b.vw, b.vk, S, 1), nullptr) << "S" << S;
   }
   // Unrolled lookups reject non-instantiated (S, str) combos.
@@ -354,7 +297,6 @@ TEST(PolicyRegistry, MatchesEq3FeasibilityAndIsComplete) {
         << e.vw << "x" << e.vk << " S" << e.S;
     EXPECT_TRUE(e.str == 1 || e.str == 2) << e.str;
     EXPECT_NE(e.compute, nullptr);
-    EXPECT_NE(e.fused, nullptr);
     seen.insert({e.vw, e.vk, e.S, e.str, static_cast<int>(e.tail)});
   }
   EXPECT_EQ(seen.size(), reg.size()) << "duplicate registry entries";
@@ -380,9 +322,9 @@ TEST(PolicyRegistry, TapOrderFollowsTheTargetRegisterBudget) {
 }
 
 TEST(PolicyRegistry, BlocksEnumerateTheS1FeasibleSet) {
-  // The runtime-S table covers exactly the S=1 feasible set at the
-  // build's width — the superset, since the register cost grows with S.
-  // At 4 lanes that is Eq. 3's set.
+  // The blocks are exactly the S=1 feasible set at the build's width —
+  // the superset, since the register cost grows with S — and each has
+  // its unrolled S = 1 kernel. At 4 lanes that is Eq. 3's set.
   const std::vector<RegisterBlock>& blocks = microkernel_blocks();
   if (kKernelLanes == 4) {
     EXPECT_EQ(blocks.size(), feasible_register_blocks(1).size());
@@ -392,8 +334,7 @@ TEST(PolicyRegistry, BlocksEnumerateTheS1FeasibleSet) {
     EXPECT_TRUE(
         kernel_block_feasible(b.vw, b.vk, 1, kKernelLanes, kKernelRegs))
         << b.vw << "x" << b.vk;
-    EXPECT_NE(find_compute_kernel(b.vw, b.vk), nullptr);
-    EXPECT_NE(find_fused_kernel(b.vw, b.vk), nullptr);
+    EXPECT_NE(find_unrolled_kernel(b.vw, b.vk, 1, 1), nullptr);
   }
 }
 
@@ -438,22 +379,19 @@ TEST(PolicyRegistry, ResolveKernelClassifies) {
   EXPECT_STREQ(r.reason, "");
   EXPECT_NE(r.interior, nullptr);
   EXPECT_NE(r.edge, nullptr);
-  EXPECT_NE(r.interior_fused, nullptr);
-  EXPECT_NE(r.edge_fused, nullptr);
   EXPECT_NE(r.interior, r.edge);
 
-  // S outside {1, 3, 5, 7}: runtime-S specialization, one kernel for
-  // both tile kinds.
+  // S outside {1, 3, 5, 7}: the generic kernel, no registry slot.
   r = resolve_kernel(b.vw, b.vk, 2, 1);
-  EXPECT_EQ(r.cls, KernelClass::kSpecialized);
+  EXPECT_EQ(r.cls, KernelClass::kGeneric);
   EXPECT_NE(std::string(r.reason).find("kernel width"), std::string::npos)
       << r.reason;
-  EXPECT_NE(r.interior, nullptr);
-  EXPECT_EQ(r.interior, r.edge);
+  EXPECT_EQ(r.interior, nullptr);
+  EXPECT_EQ(r.edge, nullptr);
 
   // Stride outside {1, 2}.
   r = resolve_kernel(b.vw, b.vk, 3, 3);
-  EXPECT_EQ(r.cls, KernelClass::kSpecialized);
+  EXPECT_EQ(r.cls, KernelClass::kGeneric);
   EXPECT_NE(std::string(r.reason).find("stride"), std::string::npos)
       << r.reason;
 
@@ -462,21 +400,22 @@ TEST(PolicyRegistry, ResolveKernelClassifies) {
   for (const RegisterBlock& rb : microkernel_blocks()) {
     if (find_unrolled_kernel(rb.vw, rb.vk, 7, 1) != nullptr) continue;
     r = resolve_kernel(rb.vw, rb.vk, 7, 1);
-    EXPECT_EQ(r.cls, KernelClass::kSpecialized);
+    EXPECT_EQ(r.cls, KernelClass::kGeneric);
     EXPECT_NE(std::string(r.reason).find("Eq. 3"), std::string::npos)
         << r.reason;
-    EXPECT_NE(r.interior, nullptr);
+    EXPECT_EQ(r.interior, nullptr);
   }
 
   // Outside the feasible set entirely: generic.
   r = resolve_kernel(20, 8, 3, 1);
   EXPECT_EQ(r.cls, KernelClass::kGeneric);
+  EXPECT_NE(std::string(r.reason).find("outside the Eq. 3 feasible"),
+            std::string::npos)
+      << r.reason;
   EXPECT_EQ(r.interior, nullptr);
   EXPECT_EQ(r.edge, nullptr);
 
   EXPECT_STREQ(kernel_class_name(KernelClass::kUnrolled), "unrolled");
-  EXPECT_STREQ(kernel_class_name(KernelClass::kSpecialized),
-               "specialized");
   EXPECT_STREQ(kernel_class_name(KernelClass::kGeneric), "generic");
 }
 
@@ -593,46 +532,6 @@ TEST(PolicyRegistry, InteriorStoreNhwcResidualParity) {
     if (e.tail != TailMode::kInterior) continue;
     expect_policy_matches_generic(e, e.vw, e.vk, /*epi=*/3, /*nhwc=*/true,
                                   seed++);
-  }
-}
-
-TEST(PolicyRegistry, FusedPolicyMatchesPackThenCompute) {
-  // Every fused policy kernel against standalone pack + generic
-  // compute on a real image window overlapping the padding.
-  const int C = 3, H = 7, W = 29;
-  Tensor image = make_input_nchw(1, C, H, W);
-  fill_random(image, 50);
-  unsigned seed = 500;
-  for (const KernelEntry& e : kernel_registry()) {
-    const TileProblem t{e.vw, e.vk, C, 2, e.S, e.str};
-    TileData df = make_tile(t, seed);
-    TileData dr = make_tile(t, seed);
-    ++seed;
-    const bool edge = e.tail == TailMode::kEdge;
-    const int wn = edge ? std::max(1, t.vw - 3) : t.vw;
-    const int kn = edge ? std::max(1, t.vk - 3) : t.vk;
-    for (TileData* d : {&df, &dr}) {
-      d->args.wn = wn;
-      d->args.kn = kn;
-      for (float& v : d->out) v = -5.0f;
-    }
-    PackGeometry g;
-    g.src = image.data();
-    g.chan_stride = H * W;
-    g.row_stride = W;
-    g.col_stride = 1;
-    g.H = H;
-    g.W = W;
-    g.ih0 = -1;  // window overlaps the top/left padding
-    g.iw0 = -1;
-    e.fused(df.args, g);
-    pack_window(dr.pack.data(), g, C, t.R, t.packw());
-    compute_kernel_generic(dr.args, t.vw, t.vk);
-    for (std::size_t i = 0; i < df.out.size(); ++i) {
-      ASSERT_EQ(df.out[i], dr.out[i])
-          << e.vw << "x" << e.vk << " S" << e.S << " str" << e.str
-          << (edge ? " edge" : " interior") << " out[" << i << "]";
-    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/microkernel.h"
 #include "core/ndirect.h"
 #include "runtime/scratch.h"
+#include "runtime/telemetry.h"
 #include "tensor/compare.h"
 #include "tensor/rng.h"
 #include "tensor/transforms.h"
@@ -149,6 +150,10 @@ CaseData make_case(const ConvParams& p, std::uint64_t seed) {
 class NdirectSweep : public ::testing::TestWithParam<ConvParams> {};
 
 TEST_P(NdirectSweep, FusedPackingMatchesNaive) {
+  // The default plan. Each window is packed in its tile's first kv
+  // iteration, the placement of §5.3's fused packing, though ahead of
+  // the FMA loop rather than inside it; every kv block then runs its
+  // kernel on the packed window.
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 21);
   const Tensor out = ndirect_conv(c.input, c.filter, p);
@@ -156,14 +161,33 @@ TEST_P(NdirectSweep, FusedPackingMatchesNaive) {
       << compare_tensors(out, c.reference).to_string();
 }
 
+// True when the default plan runs every tile on a registry kernel:
+// S in the unrolled set and, after stride compaction (a 1x1 stride-s
+// conv runs the stride-1 kernel), a stride of 1 or 2.
+bool runs_unrolled(const ConvParams& p) {
+  const int kstr = p.S == 1 ? 1 : p.str;
+  return (p.S == 1 || p.S == 3 || p.S == 5 || p.S == 7) &&
+         (kstr == 1 || kstr == 2);
+}
+
 TEST_P(NdirectSweep, SequentialPackingMatchesNaive) {
+  // The default plan with a telemetry sink: the pack phase runs exactly
+  // when some window cannot be read in place (anything but a 1x1
+  // stride-1 unpadded conv), and the generic kernel runs exactly for
+  // the shapes outside the unrolled set.
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 22);
+  TelemetrySnapshot snap;
   NdirectOptions opts;
-  opts.fuse_packing = false;
+  opts.telemetry = &snap;
   const Tensor out = ndirect_conv(c.input, c.filter, p, opts);
   EXPECT_TRUE(allclose(out, c.reference))
       << compare_tensors(out, c.reference).to_string();
+  if (!kTelemetryCompiled || !telemetry_enabled()) return;
+  const bool packs = !(p.S == 1 && p.str == 1 && p.pad == 0);
+  EXPECT_EQ(snap.total(Counter::kPackNs) > 0, packs);
+  EXPECT_EQ(snap.total(Counter::kGenericFallback) > 0, !runs_unrolled(p))
+      << snap.total(Counter::kGenericFallback) << " generic calls";
 }
 
 TEST_P(NdirectSweep, AheadOfTimeFilterMatchesNaive) {
@@ -213,15 +237,15 @@ TEST_P(NdirectSweep, TinyTilesForceMultiTilePaths) {
 }
 
 TEST_P(NdirectSweep, GenericKernelFallbackMatchesNaive) {
-  // A register block with no template specialization must route through
-  // compute_kernel_generic / fused_kernel_generic.
+  // A register block outside the registry must route through
+  // compute_kernel_generic.
   const ConvParams p = GetParam();
   const CaseData c = make_case(p, 27);
   NdirectOptions opts;
   // 20x8 is outside the registry at every width: over Eq. 3's budget
   // at 4 lanes, vk not a multiple of 16 lanes.
   opts.force_rb = {20, 8};
-  ASSERT_EQ(find_compute_kernel(20, 8), nullptr);
+  ASSERT_EQ(resolve_kernel(20, 8, p.S, p.str).cls, KernelClass::kGeneric);
   const Tensor out = ndirect_conv(c.input, c.filter, p, opts);
   EXPECT_TRUE(allclose(out, c.reference))
       << compare_tensors(out, c.reference).to_string();
@@ -306,8 +330,30 @@ TEST_P(NdirectSweep, CachedFilterAgreesWithGenericReference)  {
       << compare_tensors(a, g).to_string();
 }
 
+// The shared sweep plus fp32 edge shapes, most of which fall outside
+// the unrolled set and run the generic kernel: S = 2 and 4, stride 3
+// (S = 1, which stride compaction runs as the unrolled stride-1 kernel,
+// and S = 3), a stride larger than the kernel, padding at least the
+// kernel, K not a multiple of 16, and a 1x1 output plane.
+std::vector<ConvParams> sweep_shapes() {
+  std::vector<ConvParams> v = correctness_conv_shapes();
+  v.insert(v.end(), {
+      {.N = 1, .C = 5, .H = 9, .W = 11, .K = 12, .R = 2, .S = 2, .str = 1, .pad = 0},
+      {.N = 1, .C = 4, .H = 10, .W = 29, .K = 20, .R = 4, .S = 4, .str = 1, .pad = 2},
+      {.N = 1, .C = 8, .H = 10, .W = 31, .K = 16, .R = 1, .S = 1, .str = 3, .pad = 0},
+      {.N = 1, .C = 6, .H = 11, .W = 26, .K = 8, .R = 3, .S = 3, .str = 3, .pad = 1},
+      {.N = 2, .C = 3, .H = 13, .W = 13, .K = 8, .R = 2, .S = 2, .str = 4, .pad = 0},
+      {.N = 1, .C = 4, .H = 5, .W = 7, .K = 8, .R = 3, .S = 3, .str = 1, .pad = 3},
+      {.N = 1, .C = 3, .H = 4, .W = 4, .K = 8, .R = 1, .S = 1, .str = 1, .pad = 1},
+      {.N = 1, .C = 16, .H = 9, .W = 30, .K = 40, .R = 3, .S = 3, .str = 1, .pad = 1},
+      {.N = 2, .C = 16, .H = 1, .W = 1, .K = 32, .R = 1, .S = 1, .str = 1, .pad = 0},
+      {.N = 1, .C = 8, .H = 1, .W = 1, .K = 24, .R = 3, .S = 3, .str = 1, .pad = 1},
+  });
+  return v;
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, NdirectSweep,
-                         ::testing::ValuesIn(correctness_conv_shapes()));
+                         ::testing::ValuesIn(sweep_shapes()));
 
 // ----------------------------------------------------------------------
 // Scratch arena steady state: no heap growth inside run_nest workers
@@ -409,27 +455,10 @@ TEST(NdirectEngine, PhaseTimerRecordsTransformAndMicrokernel) {
   PhaseTimer pt;
   NdirectOptions opts;
   opts.threads = 1;
-  opts.fuse_packing = false;
   opts.phase_timer = &pt;
   (void)ndirect_conv(c.input, c.filter, p, opts);
   EXPECT_GT(pt.seconds("transform"), 0.0);
   EXPECT_GT(pt.seconds("packing"), 0.0);
-  EXPECT_GT(pt.seconds("micro-kernel"), 0.0);
-}
-
-TEST(NdirectEngine, FusedModeFoldsPackingIntoMicrokernelPhase) {
-  if (!kTelemetryCompiled)
-    GTEST_SKIP() << "phase timing needs NDIRECT_TELEMETRY=ON";
-  const ConvParams p{.N = 1, .C = 16, .H = 12, .W = 12, .K = 16,
-                     .R = 3, .S = 3, .str = 1, .pad = 1};
-  const CaseData c = make_case(p, 32);
-  PhaseTimer pt;
-  NdirectOptions opts;
-  opts.threads = 1;
-  opts.fuse_packing = true;
-  opts.phase_timer = &pt;
-  (void)ndirect_conv(c.input, c.filter, p, opts);
-  EXPECT_EQ(pt.seconds("packing"), 0.0);
   EXPECT_GT(pt.seconds("micro-kernel"), 0.0);
 }
 

@@ -33,8 +33,7 @@ ConvParams small_conv() {
 }
 
 /// Run one conv with a telemetry sink and return the snapshot.
-TelemetrySnapshot run_with_telemetry(const ConvParams& p,
-                                     bool fuse_packing = false) {
+TelemetrySnapshot run_with_telemetry(const ConvParams& p) {
   Tensor input = make_input_nchw(p.N, p.C, p.H, p.W);
   Tensor filter = make_filter_kcrs(p.K, p.C, p.R, p.S);
   fill_random(input, 11);
@@ -42,7 +41,6 @@ TelemetrySnapshot run_with_telemetry(const ConvParams& p,
   TelemetrySnapshot snap;
   NdirectOptions opts;
   opts.telemetry = &snap;
-  opts.fuse_packing = fuse_packing;
   const NdirectConv conv(p, opts);
   (void)conv.run(input, filter);
   return snap;
@@ -174,8 +172,7 @@ TEST(PmuEngine, PhaseModeSplitsL1DConservatively) {
   if (!pmu_available()) GTEST_SKIP() << "perf_event_open unavailable";
   PmuGuard guard;
   set_pmu_mode(2);
-  const TelemetrySnapshot snap =
-      run_with_telemetry(small_conv(), /*fuse_packing=*/false);
+  const TelemetrySnapshot snap = run_with_telemetry(small_conv());
   ASSERT_FALSE(snap.empty());
   EXPECT_TRUE(snap.has_pmu());
   // Per construction pack + micro == the task L1D total (the split is

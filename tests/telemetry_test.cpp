@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -211,7 +214,6 @@ TEST(EngineTelemetry, PhaseTimerWorksAtAnyWorkerCount) {
   NdirectOptions opts;
   opts.pool = &pool;
   opts.threads = 4;  // the seed only supported phase timing at 1 thread
-  opts.fuse_packing = false;
   opts.phase_timer = &pt;
   opts.telemetry = &snap;
   (void)ndirect_conv(d.input, d.filter, p, opts);
@@ -463,39 +465,61 @@ TEST(Trace, OffSessionRecordsNothing) {
 // Concurrent graph lanes
 // ----------------------------------------------------------------------
 
-std::unique_ptr<ConvOp> graph_conv(const TensorShape& s, int k,
-                                   std::uint64_t seed) {
-  ConvParams p{.N = s.N, .C = s.C, .H = s.H, .W = s.W, .K = k,
-               .R = 3, .S = 3, .str = 1, .pad = 1};
-  return std::make_unique<ConvOp>(p, ConvBackend::Ndirect, seed,
-                                  /*bias=*/false);
-}
+// Holds each runner that enters a RendezvousOp until `parties` runners
+// are inside one at once. The wait is bounded, so a runner that never
+// comes fails the test instead of hanging it.
+struct Rendezvous {
+  int parties = 2;
+  std::mutex m;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool timed_out = false;
+};
+
+class RendezvousOp final : public Op {
+ public:
+  explicit RendezvousOp(Rendezvous& rv) : rv_(rv) {}
+  const char* name() const override { return "rendezvous"; }
+  TensorShape infer(const std::vector<TensorShape>& in) const override {
+    return in.at(0);
+  }
+  Tensor forward(const std::vector<const Tensor*>& in) const override {
+    std::unique_lock<std::mutex> lock(rv_.m);
+    ++rv_.arrived;
+    rv_.cv.notify_all();
+    if (!rv_.cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return rv_.arrived >= rv_.parties; })) {
+      rv_.timed_out = true;
+    }
+    return in.at(0)->clone();
+  }
+
+ private:
+  Rendezvous& rv_;
+};
 
 TEST(Trace, ConcurrentGraphProducesPerRunnerLanes) {
   if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TraceGuard guard;
-  // Two independent conv branches merged by add: width 2, so the
-  // concurrent executor spawns a second runner thread. The convs are
-  // sized to take a few ms each, so runner 1 reliably claims the second
-  // branch while runner 0 is still inside the first (and the pool
-  // workers the convs dispatch onto contribute their own lanes too).
-  Graph g(1, 32, 32, 32);
-  const NodeId a = g.add(graph_conv(g.shape_of(0), 64, 1), {0});
-  const NodeId b = g.add(graph_conv(g.shape_of(0), 64, 2), {0});
+  // Two independent branches merged by add: width 2, so the concurrent
+  // executor spawns a second runner thread. Each branch node waits until
+  // both runners are inside one, so each runner records its own node
+  // span whatever the thread timing.
+  Rendezvous rv;
+  Graph g(1, 4, 8, 8);
+  const NodeId a = g.add(std::make_unique<RendezvousOp>(rv), {0});
+  const NodeId b = g.add(std::make_unique<RendezvousOp>(rv), {0});
   g.add(std::make_unique<AddOp>(), {a, b});
-  g.plan_concurrency();
-  Tensor input = make_input_nchw(1, 32, 32, 32);
+  Tensor input = make_input_nchw(1, 4, 8, 8);
   fill_random(input, 3);
 
   TraceSession& tr = TraceSession::global();
   tr.start(std::size_t{1} << 14);
   GraphRunOptions conc;
   conc.runners = 2;
-  // A single run can (rarely) finish both branches on one runner before
-  // the other thread wakes; a few runs in the same session make at
-  // least one multi-lane run a near-certainty without timing games.
-  for (int rep = 0; rep < 3; ++rep) (void)g.run(input, conc);
+  (void)g.run(input, conc);
   tr.stop();
+  EXPECT_FALSE(rv.timed_out) << "the second runner never entered a node";
 
   const std::vector<TraceEvent> events = tr.events();
   ASSERT_FALSE(events.empty());
